@@ -69,7 +69,6 @@ from .oracle import (
     LatticeWindow,
     VerificationReport,
     balance_residuals,
-    brute_force_partition,
     compare,
     convexity_check,
     grid_residual_report,

@@ -28,13 +28,12 @@ from .errors import (
     InvalidWalk,
     QpwalkError,
     SingularWalk,
-    TooLarge,
 )
 from .model import WalkSpec, drift, from_switch, singular_class, validate
 from .oracle import balance_residuals, compare, truncated_stationary
 from .terms import GammaSet, maximal_partitions
 
-INPUT_ERRORS = (InvalidWalk, InvalidRouting, SingularWalk, TooLarge, ValueError,
+INPUT_ERRORS = (InvalidWalk, InvalidRouting, SingularWalk, ValueError,
                 KeyError, OSError, json.JSONDecodeError)
 
 
@@ -256,8 +255,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-terms", type=int, default=200)
     p.add_argument("--window", type=int, default=12)
-    p.add_argument("--seed-all", action="store_true",
-                   help="seed every boundary intersection (the default behavior)")
     out(p)
     p.set_defaults(func=_cmd_construct)
 

@@ -13,12 +13,12 @@ stabilizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .curve import U_MARGIN, boundary_h, boundary_v, kernel, x_quadratic, y_quadratic
+from .curve import U_MARGIN, boundary_h, boundary_v, kernel, y_quadratic
 from .errors import (
     DegenerateT,
     Diverged,
@@ -52,6 +52,14 @@ def _coords(term: TermLike) -> tuple[float, float]:
     return float(rho), float(sigma)
 
 
+def _transposed(term: TermLike) -> TermLike:
+    """The term with its coordinates exchanged, for the transposed walk."""
+    if isinstance(term, WeightedTerm):
+        return term.transpose()
+    rho, sigma = _coords(term)
+    return (sigma, rho)
+
+
 def eligible(spec: WalkSpec) -> bool:
     """Whether the walk admits the compensation construction at all.
 
@@ -70,7 +78,9 @@ def t_value(term: TermLike, spec: WalkSpec) -> float:
     """
     rho, sigma = _coords(term)
     if not rho > 0.0:
-        raise ValueError(f"t_value needs rho > 0, got {rho}")
+        raise ValueError(
+            f"t_value needs rho > 0 (sigma > 0 in the vertical form), got {rho}"
+        )
     south = sum(rho ** (-s) * spec.p(s, -1) for s in OFFSETS)
     north = sum(spec.p(s, 1) for s in OFFSETS)
     return (
@@ -82,18 +92,9 @@ def t_value(term: TermLike, spec: WalkSpec) -> float:
 
 
 def t_value_vertical(term: TermLike, spec: WalkSpec) -> float:
-    """Vertical analogue of t_value, with the axes swapped."""
-    rho, sigma = _coords(term)
-    if not sigma > 0.0:
-        raise ValueError(f"t_value_vertical needs sigma > 0, got {sigma}")
-    west = sum(sigma ** (-t) * spec.p(-1, t) for t in OFFSETS)
-    east = sum(spec.p(1, t) for t in OFFSETS)
-    return (
-        (1.0 - 1.0 / sigma) * spec.v(1)
-        + (1.0 - sigma) * spec.v(-1)
-        + east
-        - rho * west
-    )
+    """Vertical analogue of t_value: t_value of the transposed term in the
+    transposed walk."""
+    return t_value(_transposed(term), spec.transpose())
 
 
 @dataclass(frozen=True)
@@ -134,22 +135,16 @@ def _other_root(A: float, B: float, C: float, known: float) -> float:
     return other
 
 
-def _companion_status(
-    term: TermLike, spec: WalkSpec, vertical: bool
-) -> CompanionStatus:
+def companion_v_status(term: TermLike, spec: WalkSpec) -> CompanionStatus:
+    """Other root of the kernel quadratic in y at the term's x-coordinate."""
     rho, sigma = _coords(term)
     ker = kernel(spec)
     if abs(ker.value(rho, sigma)) > SEED_RESIDUAL_TOL * ker.scale * max(
         1.0, rho * rho
     ) * max(1.0, sigma * sigma):
         raise OffCurve(f"({rho}, {sigma}) is not on the kernel curve")
-    if vertical:
-        A, B, C = (float(v) for v in y_quadratic(ker, rho))
-        known = sigma
-    else:
-        A, B, C = (float(v) for v in x_quadratic(ker, sigma))
-        known = rho
-    other = _other_root(A, B, C, known)
+    A, B, C = (float(v) for v in y_quadratic(ker, rho))
+    other = _other_root(A, B, C, sigma)
 
     # Equality is judged at the scale of the roots themselves: deep in a
     # series both roots shrink toward zero and an absolute test would
@@ -157,8 +152,8 @@ def _companion_status(
     # sqrt(eps)-sized because root equality is only observable to the
     # square root of the coefficient accuracy: at an exact branch point
     # the computed roots still land about 1e-8 apart.
-    if math.isfinite(other) and abs(other - known) <= DOUBLE_ROOT_SEP * max(
-        abs(known), abs(other)
+    if math.isfinite(other) and abs(other - sigma) <= DOUBLE_ROOT_SEP * max(
+        abs(sigma), abs(other)
     ):
         return CompanionStatus(None, "double-root", other)
     if not math.isfinite(other) or other >= 1.0 - DOUBLE_TOL:
@@ -166,20 +161,14 @@ def _companion_status(
     if other <= 0.0:
         return CompanionStatus(None, "nonpositive", other)
     alpha = term.alpha if isinstance(term, WeightedTerm) else 1.0
-    new = (
-        WeightedTerm(rho, other, alpha) if vertical else WeightedTerm(other, sigma, alpha)
-    )
-    return CompanionStatus(new, "ok", other)
-
-
-def companion_v_status(term: TermLike, spec: WalkSpec) -> CompanionStatus:
-    """Other root of the kernel quadratic in y at the term's x-coordinate."""
-    return _companion_status(term, spec, vertical=True)
+    return CompanionStatus(WeightedTerm(rho, other, alpha), "ok", other)
 
 
 def companion_h_status(term: TermLike, spec: WalkSpec) -> CompanionStatus:
-    """Other root of the kernel quadratic in x at the term's y-coordinate."""
-    return _companion_status(term, spec, vertical=False)
+    """Other root of the kernel quadratic in x at the term's y-coordinate:
+    companion_v_status of the transposed term in the transposed walk."""
+    st = companion_v_status(_transposed(term), spec.transpose())
+    return replace(st, term=None if st.term is None else st.term.transpose())
 
 
 def companion_v(term: TermLike, spec: WalkSpec) -> Optional[WeightedTerm]:
@@ -211,7 +200,9 @@ def coefficient_ratio_h(
     r1, _ = _coords(t1)
     r2, _ = _coords(t2)
     if abs(r1 - r2) > SHARED_COORD_TOL * max(abs(r1), abs(r2)):
-        raise MixedGroup(f"pair does not share rho: {r1} vs {r2}")
+        raise MixedGroup(
+            f"pair does not share rho (sigma in the vertical form): {r1} vs {r2}"
+        )
     return _ratio(t_value(t1, spec), t_value(t2, spec))
 
 
@@ -219,12 +210,7 @@ def coefficient_ratio_v(
     pair: Sequence[TermLike], spec: WalkSpec
 ) -> float:
     """Vertical mirror of coefficient_ratio_h for a sigma-sharing pair."""
-    t1, t2 = pair
-    _, s1 = _coords(t1)
-    _, s2 = _coords(t2)
-    if abs(s1 - s2) > SHARED_COORD_TOL * max(abs(s1), abs(s2)):
-        raise MixedGroup(f"pair does not share sigma: {s1} vs {s2}")
-    return _ratio(t_value_vertical(t1, spec), t_value_vertical(t2, spec))
+    return coefficient_ratio_h([_transposed(t) for t in pair], spec.transpose())
 
 
 @dataclass(frozen=True)
@@ -334,32 +320,31 @@ def build_series(
     norms: list[float] = []
     # A V-seed balances the vertical axis, so the first correction must
     # repair the horizontal one: companion_v keeps rho and the H-ratio
-    # cancels bh_sum of the new pair.  H-seeds mirror this.
-    next_vertical = seeded == "V"
+    # cancels bh_sum of the new pair.  The V-coupled step is the same step
+    # in the transposed walk, reached by transposing the term on the way in
+    # and out.
+    frames = (
+        (spec, "H-coupled", lambda t: t),
+        (spec.transpose(), "V-coupled", WeightedTerm.transpose),
+    )
+    side = 0 if seeded == "V" else 1
     stopped = "max-terms"
     stalled: Optional[CompanionStatus] = None
 
     while len(terms) < max_terms:
         prev = terms[-1]
-        status = (
-            companion_v_status(prev, spec)
-            if next_vertical
-            else companion_h_status(prev, spec)
-        )
+        frame, link, mirror = frames[side]
+        status = companion_v_status(mirror(prev), frame)
         if status.term is None:
             stalled = status
             break
-        if next_vertical:
-            ratio = coefficient_ratio_h((prev, status.term), spec)
-        else:
-            ratio = coefficient_ratio_v((prev, status.term), spec)
-        alpha = ratio * prev.alpha
+        alpha = coefficient_ratio_h((mirror(prev), status.term), frame) * prev.alpha
         if alpha == 0.0:
             # The previous term already balanced the axis alone; nothing
             # further to compensate.
             stopped = "converged"
             break
-        new = WeightedTerm(status.term.rho, status.term.sigma, alpha)
+        new = mirror(WeightedTerm(status.term.rho, status.term.sigma, alpha))
         residual = abs(ker.value(new.rho, new.sigma)) / ker.scale
         if residual > SERIES_RESIDUAL_TOL:
             raise OffCurve(
@@ -367,8 +352,8 @@ def build_series(
                 f"{residual}"
             )
         terms.append(new)
-        links.append("H-coupled" if next_vertical else "V-coupled")
-        next_vertical = not next_vertical
+        links.append(link)
+        side = 1 - side
         norms.append(_series_norm(new, prev))
 
         k = len(terms) - 1

@@ -95,12 +95,7 @@ def y_quadratic(ker: KernelPoly, x):
 
 def x_quadratic(ker: KernelPoly, y):
     """Coefficients ``(A, B, C)`` of ``Q(., y)`` as ``A x^2 + B x + C``."""
-    y = np.asarray(y, dtype=float)
-    c = ker.c
-    A = c[2, 0] + y * (c[2, 1] + y * c[2, 2])
-    B = c[1, 0] + y * (c[1, 1] + y * c[1, 2])
-    C = c[0, 0] + y * (c[0, 1] + y * c[0, 2])
-    return A, B, C
+    return y_quadratic(KernelPoly(ker.c.T), y)
 
 
 def disc_y_coeffs(ker: KernelPoly) -> np.ndarray:
@@ -114,11 +109,7 @@ def disc_y_coeffs(ker: KernelPoly) -> np.ndarray:
 
 def disc_x_coeffs(ker: KernelPoly) -> np.ndarray:
     """Ascending coefficients of the quartic discriminant in y."""
-    c = ker.c
-    A = np.array([c[2, 0], c[2, 1], c[2, 2]])
-    B = np.array([c[1, 0], c[1, 1], c[1, 2]])
-    C = np.array([c[0, 0], c[0, 1], c[0, 2]])
-    return np.convolve(B, B) - 4.0 * np.convolve(A, C)
+    return disc_y_coeffs(KernelPoly(ker.c.T))
 
 
 def _polyval(coeffs: np.ndarray, x: float) -> float:
@@ -244,12 +235,21 @@ class AxisBranchData:
     consistent: bool
     low: float   # branch point just below 1 bounding the positive component
     high: float  # branch point just above 1
+    corner_low: float   # the double y-root at low
+    corner_high: float  # the double y-root at high, nan when high is infinite
 
 
-def _axis_branch_data(
-    coeffs: np.ndarray, cross_drift: float, along_drift: float,
-    case_inner: str, case_outer: str,
-) -> AxisBranchData:
+def _axis_branch_data(spec: WalkSpec) -> AxisBranchData:
+    """Branch points of Y(x), classified, with the corners they bound.
+
+    The y-roots of a walk are the x-roots of its transpose, so this one
+    routine serves both axes.
+    """
+    ker = kernel(spec)
+    d = drift(spec)
+    coeffs = disc_y_coeffs(ker)
+    case_inner = _sign_case(spec.p(1, 0), spec.p(1, -1), spec.p(1, 1))
+    case_outer = _sign_case(spec.p(-1, 0), spec.p(-1, -1), spec.p(-1, 1))
     finite, n_inf = quartic_real_roots(coeffs)
     values = list(finite) + [math.inf] * n_inf
     labels = [_label(v) for v in values]
@@ -258,7 +258,7 @@ def _axis_branch_data(
     inside = [lab for lab in labels if lab.modulus == "inside"]
     outside = [lab for lab in labels if lab.modulus == "outside"]
 
-    if abs(cross_drift) > UNIT_ROOT_TOL and not unit:
+    if abs(d.my) > UNIT_ROOT_TOL and not unit:
         consistent = (
             len(inside) == 2
             and len(outside) == 2
@@ -266,15 +266,15 @@ def _axis_branch_data(
             and _pair_matches_case(outside, case_outer, inner=False)
         )
     elif unit:
-        # Zero cross drift pins a branch point at 1.  The remaining three
-        # split by the sign of the along drift: negative drift leaves two
-        # inside the unit circle, positive drift leaves two outside.
+        # Zero vertical drift pins a branch point at 1.  The remaining
+        # three split by the sign of the horizontal drift: negative drift
+        # leaves two inside the unit circle, positive drift two outside.
         others = [lab for lab in labels if abs(abs(lab.value) - 1.0) > UNIT_ROOT_TOL]
         n_in = sum(1 for lab in others if lab.modulus == "inside")
         n_out = len(others) - n_in
-        if along_drift < 0:
+        if d.mx < 0:
             consistent = len(unit) >= 1 and n_in == 2 and n_out == 1
-        elif along_drift > 0:
+        elif d.mx > 0:
             consistent = len(unit) >= 1 and n_in == 1 and n_out == 2
         else:
             consistent = True  # both drifts vanish: no prediction applies
@@ -295,8 +295,16 @@ def _axis_branch_data(
     else:
         low = max(below) if below else 0.0
         high = min(above) if above else math.inf
+
+    corner_low = _double_root_of_quadratic(*(float(v) for v in y_quadratic(ker, low)))
+    corner_high = (
+        _double_root_of_quadratic(*(float(v) for v in y_quadratic(ker, high)))
+        if math.isfinite(high)
+        else math.nan
+    )
     return AxisBranchData(
-        tuple(values), tuple(labels), case_inner, case_outer, consistent, low, high
+        tuple(values), tuple(labels), case_inner, case_outer, consistent,
+        low, high, corner_low, corner_high,
     )
 
 
@@ -362,54 +370,32 @@ def branch_points(spec: WalkSpec) -> BranchPointReport:
     outside); the sign patterns of each pair follow from comparing the
     straight-ahead probability with twice the geometric mean of its
     diagonal neighbors.  The corners are the points of the positive
-    component where the two y-roots (or x-roots) collide.
+    component where the two y-roots (or x-roots) collide.  The y side is
+    computed as the x side of the transposed walk.
     """
-    ker = kernel(spec)
-    d = drift(spec)
-
-    data_x = _axis_branch_data(
-        disc_y_coeffs(ker), d.my, d.mx,
-        _sign_case(spec.p(1, 0), spec.p(1, -1), spec.p(1, 1)),
-        _sign_case(spec.p(-1, 0), spec.p(-1, -1), spec.p(-1, 1)),
-    )
-    data_y = _axis_branch_data(
-        disc_x_coeffs(ker), d.mx, d.my,
-        _sign_case(spec.p(0, 1), spec.p(-1, 1), spec.p(1, 1)),
-        _sign_case(spec.p(0, -1), spec.p(-1, -1), spec.p(1, -1)),
-    )
-
-    x_l, x_r = data_x.low, data_x.high
-    y_b, y_t = data_y.low, data_y.high
-
-    y_l = _double_root_of_quadratic(*(float(v) for v in y_quadratic(ker, x_l)))
-    y_r = (
-        _double_root_of_quadratic(*(float(v) for v in y_quadratic(ker, x_r)))
-        if math.isfinite(x_r)
-        else math.nan
-    )
-    x_b = _double_root_of_quadratic(*(float(v) for v in x_quadratic(ker, y_b)))
-    x_t = (
-        _double_root_of_quadratic(*(float(v) for v in x_quadratic(ker, y_t)))
-        if math.isfinite(y_t)
-        else math.nan
-    )
-
+    x = _axis_branch_data(spec)
+    y = _axis_branch_data(spec.transpose())
     return BranchPointReport(
-        roots_x=data_x.roots,
-        roots_y=data_y.roots,
-        labels_x=data_x.labels,
-        labels_y=data_y.labels,
-        case_x_inner=data_x.case_inner,
-        case_x_outer=data_x.case_outer,
-        case_y_inner=data_y.case_inner,
-        case_y_outer=data_y.case_outer,
-        consistent_x=data_x.consistent,
-        consistent_y=data_y.consistent,
-        x_l=x_l,
-        x_r=x_r,
-        y_b=y_b,
-        y_t=y_t,
-        corners=((x_l, y_l), (x_b, y_b), (x_r, y_r), (x_t, y_t)),
+        roots_x=x.roots,
+        roots_y=y.roots,
+        labels_x=x.labels,
+        labels_y=y.labels,
+        case_x_inner=x.case_inner,
+        case_x_outer=x.case_outer,
+        case_y_inner=y.case_inner,
+        case_y_outer=y.case_outer,
+        consistent_x=x.consistent,
+        consistent_y=y.consistent,
+        x_l=x.low,
+        x_r=x.high,
+        y_b=y.low,
+        y_t=y.high,
+        corners=(
+            (x.low, x.corner_low),
+            (y.corner_low, y.low),
+            (x.high, x.corner_high),
+            (y.corner_high, y.high),
+        ),
     )
 
 
@@ -579,13 +565,8 @@ def boundary_h(spec: WalkSpec, x, y):
 
 
 def boundary_v(spec: WalkSpec, x, y):
-    """Vertical-axis balance polynomial, the mirror image of boundary_h."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    total = -y
-    for t in (-1, 0, 1):
-        total = total + y ** (1 - t) * (spec.v(t) + x * spec.p(-1, t))
-    return total if np.ndim(total) else float(total)
+    """Vertical-axis balance polynomial: boundary_h of the transposed walk."""
+    return boundary_h(spec.transpose(), y, x)
 
 
 @dataclass(frozen=True)
@@ -627,17 +608,22 @@ def curve_boundary_intersections(
         lo, up, _ = _y_roots_on_interval(ker, np.array([x]))
         return float(lo[0] if use_lower else up[0])
 
+    spec_t = spec.transpose()
+    polys = (
+        ("H", lambda x, y: boundary_h(spec, x, y)),
+        ("V", lambda x, y: boundary_h(spec_t, y, x)),  # boundary_v, hoisted
+    )
     found: list[Intersection] = []
-    for which, poly in (("H", boundary_h), ("V", boundary_v)):
+    for which, poly in polys:
         for use_lower, ys in ((True, lower), (False, upper)):
-            vals = poly(spec, xs, ys)
+            vals = poly(xs, ys)
             signs = np.sign(vals)
             for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):
                 a, b = float(xs[i]), float(xs[i + 1])
                 fa = float(vals[i])
                 for _ in range(_BISECT_STEPS):
                     mid = 0.5 * (a + b)
-                    fm = float(poly(spec, mid, branch_root(mid, use_lower)))
+                    fm = float(poly(mid, branch_root(mid, use_lower)))
                     if fa * fm <= 0.0:
                         b = mid
                     else:

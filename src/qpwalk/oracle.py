@@ -2,25 +2,24 @@
 
 Nothing here knows about kernels or compensation: the stationary
 distribution comes from solving the truncated chain directly, balance
-residuals plug a measure into the raw balance equations, the partition
-oracle enumerates set partitions, and the convexity check samples
-midpoints.  Agreement between these and the analytic construction is the
-evidence the rest of the package stands on.
+residuals plug a measure into the raw balance equations, and the
+convexity check samples midpoints.  Agreement between these and the
+analytic construction is the evidence the rest of the package stands on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import NotConverged, TooLarge
+from .errors import NotConverged
 from .model import OFFSETS, WalkSpec, ensure_valid
-from .terms import GammaSet, PartitionResult
+from .terms import GammaSet
 
 MASS_FLOOR = 1e-13       # cells below this are excluded from relative errors
 POWER_TOL = 1e-13
@@ -315,90 +314,6 @@ def compare(g: GammaSet, oracle: LatticeWindow, core: int) -> float:
     m = m / m.sum()
     mask = pi >= MASS_FLOOR
     return float(np.abs((m[mask] - pi[mask]) / pi[mask]).max())
-
-
-def _best_valid_partition(n: int, linked: Callable[[int, int], bool]):
-    """Unique valid partition with the most parts, by full enumeration.
-
-    Items are placed one at a time; an item with already-placed linked
-    partners must join their block (two distinct partner blocks kill the
-    branch, since the pair spanning them could never be reunited).  This
-    generates every partition in which linked items share a block exactly
-    once.
-    """
-    blocks: list[list[int]] = []
-    best: Optional[tuple[tuple[int, ...], ...]] = None
-    best_count = -1
-    duplicates = 0
-
-    def place(i: int) -> None:
-        nonlocal best, best_count, duplicates
-        if i == n:
-            if len(blocks) > best_count:
-                best_count = len(blocks)
-                best = tuple(tuple(b) for b in blocks)
-                duplicates = 0
-            elif len(blocks) == best_count:
-                duplicates += 1
-            return
-        partner_blocks = [
-            bi for bi, blk in enumerate(blocks) if any(linked(i, j) for j in blk)
-        ]
-        if len(partner_blocks) > 1:
-            return
-        if len(partner_blocks) == 1:
-            blocks[partner_blocks[0]].append(i)
-            place(i + 1)
-            blocks[partner_blocks[0]].pop()
-            return
-        for bi in range(len(blocks)):
-            blocks[bi].append(i)
-            place(i + 1)
-            blocks[bi].pop()
-        blocks.append([i])
-        place(i + 1)
-        blocks.pop()
-
-    place(0)
-    if duplicates:
-        raise AssertionError(
-            f"maximal valid partition is not unique: {duplicates + 1} maximizers"
-        )
-    return best
-
-
-def brute_force_partition(g: GammaSet) -> PartitionResult:
-    """Exhaustive-enumeration oracle for maximal_partitions.
-
-    Raises
-    ------
-    TooLarge
-        For more than 12 terms; set partitions grow too fast beyond that.
-        Twelve is just enough for the twelve-point reference fixture.
-    """
-    n = len(g.terms)
-    if n > 12:
-        raise TooLarge(f"{n} terms exceed the brute-force limit of 12")
-    terms = g.terms
-    tol = g.tol
-
-    def same_rho(i: int, j: int) -> bool:
-        return abs(terms[i].rho - terms[j].rho) <= tol * max(
-            terms[i].rho, terms[j].rho
-        )
-
-    def same_sigma(i: int, j: int) -> bool:
-        return abs(terms[i].sigma - terms[j].sigma) <= tol * max(
-            terms[i].sigma, terms[j].sigma
-        )
-
-    return PartitionResult(
-        h_groups=_best_valid_partition(n, same_rho),
-        v_groups=_best_valid_partition(n, same_sigma),
-        g_groups=_best_valid_partition(
-            n, lambda i, j: same_rho(i, j) or same_sigma(i, j)
-        ),
-    )
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,10 @@ class WeightedTerm:
     def value(self, i, j):
         return self.alpha * self.rho ** np.asarray(i) * self.sigma ** np.asarray(j)
 
+    def transpose(self) -> "WeightedTerm":
+        """The same term for the walk with its coordinates exchanged."""
+        return WeightedTerm(self.sigma, self.rho, self.alpha)
+
     def to_dict(self) -> dict:
         return {"rho": self.rho, "sigma": self.sigma, "alpha": self.alpha}
 
@@ -179,11 +183,18 @@ def maximal_partitions(g: GammaSet) -> PartitionResult:
     )
 
 
-def _group_terms(g: GammaSet, group: Sequence[int]) -> list[WeightedTerm]:
-    terms = [g.terms[i] for i in group]
+def _bh_terms(terms: Sequence[WeightedTerm], tol: float, spec: WalkSpec) -> float:
+    from .curve import boundary_h
+
     if not terms:
         raise MixedGroup("empty group")
-    return terms
+    rho = terms[0].rho
+    for t in terms[1:]:
+        if not _close(t.rho, rho, tol):
+            raise MixedGroup(
+                f"shared coordinates {rho} and {t.rho} differ beyond tolerance"
+            )
+    return float(sum(t.alpha * boundary_h(spec, t.rho, t.sigma) for t in terms))
 
 
 def bh_sum(g: GammaSet, group: Sequence[int], spec: WalkSpec) -> float:
@@ -197,28 +208,14 @@ def bh_sum(g: GammaSet, group: Sequence[int], spec: WalkSpec) -> float:
     MixedGroup
         If the group members do not all share the same rho.
     """
-    from .curve import boundary_h
-
-    terms = _group_terms(g, group)
-    rho = terms[0].rho
-    for t in terms[1:]:
-        if not _close(t.rho, rho, g.tol):
-            raise MixedGroup(f"rho values {rho} and {t.rho} differ beyond tolerance")
-    return float(sum(t.alpha * boundary_h(spec, t.rho, t.sigma) for t in terms))
+    return _bh_terms([g.terms[i] for i in group], g.tol, spec)
 
 
 def bv_sum(g: GammaSet, group: Sequence[int], spec: WalkSpec) -> float:
-    """Vertical boundary balance of a group sharing one sigma."""
-    from .curve import boundary_v
-
-    terms = _group_terms(g, group)
-    sigma = terms[0].sigma
-    for t in terms[1:]:
-        if not _close(t.sigma, sigma, g.tol):
-            raise MixedGroup(
-                f"sigma values {sigma} and {t.sigma} differ beyond tolerance"
-            )
-    return float(sum(t.alpha * boundary_v(spec, t.rho, t.sigma) for t in terms))
+    """Vertical boundary balance of a group sharing one sigma: bh_sum of
+    the transposed terms in the transposed walk."""
+    terms = [g.terms[i].transpose() for i in group]
+    return _bh_terms(terms, g.tol, spec.transpose())
 
 
 @dataclass(frozen=True)
@@ -332,7 +329,7 @@ def necessary_conditions(
     With ``claims_infinite`` false only the first two apply; the others
     report None.
     """
-    from .compensation import companion_h_status, companion_v_status
+    from .compensation import companion_v_status
 
     curve_report = check_on_curve(g, spec)
     witnesses: dict = {
@@ -348,8 +345,10 @@ def necessary_conditions(
     extendable: Optional[bool] = None
     if on_curve and in_u:
         blocked = []
+        spec_t = spec.transpose()
         for idx, t in enumerate(g.terms):
-            h_st = companion_h_status(t, spec)
+            # companion_h_status with the transpose hoisted out of the loop
+            h_st = companion_v_status(t.transpose(), spec_t)
             v_st = companion_v_status(t, spec)
             if h_st.term is None and v_st.term is None:
                 blocked.append({"index": idx, "h": h_st.status, "v": v_st.status})

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qpwalk as q
+from qpwalk import presets
 from qpwalk.compensation import (
     companion_h_status,
     companion_v_status,
@@ -21,7 +22,7 @@ from qpwalk.errors import (
     OffCurve,
 )
 
-from conftest import random_walk
+from conftest import PRESET_NAMES, random_walk
 
 
 # --- eligibility ---
@@ -250,6 +251,48 @@ def test_series_to_dict_contract(switch_series):
     assert set(d) >= {"terms", "links", "tail_bound", "seed", "stopped"}
     assert len(d["links"]) == len(d["terms"]) - 1
     assert d["seed"]["boundary"] == "H"
+
+
+# --- mirror symmetry ---
+
+SWAPPED = {"H": "V", "V": "H", "H-coupled": "V-coupled", "V-coupled": "H-coupled"}
+
+
+@pytest.mark.parametrize("name", ["switch_fig7", "fig2d"])
+def test_series_of_transposed_walk_is_the_mirror_image(name):
+    spec = presets.load(name)
+    for s in q.curve_boundary_intersections(spec):
+        ser = q.build_series(spec, (s.x, s.y))
+        mirror = q.build_series(spec.transpose(), (s.y, s.x))
+        assert [(t.sigma, t.rho, t.alpha) for t in ser.terms] == [
+            (t.rho, t.sigma, t.alpha) for t in mirror.terms
+        ]
+        assert [SWAPPED[link] for link in ser.links] == list(mirror.links)
+        assert mirror.start.boundary == SWAPPED[ser.start.boundary]
+        assert mirror.start.point == (s.y, s.x)
+        assert (mirror.tail_bound, mirror.stopped) == (ser.tail_bound, ser.stopped)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_branch_points_of_transposed_walk_swap_axes(name):
+    spec = presets.load(name)
+    rep = q.branch_points(spec)
+    mirror = q.branch_points(spec.transpose())
+    for a, b in [
+        ("roots_x", "roots_y"),
+        ("labels_x", "labels_y"),
+        ("case_x_inner", "case_y_inner"),
+        ("case_x_outer", "case_y_outer"),
+        ("consistent_x", "consistent_y"),
+        ("x_l", "y_b"),
+        ("x_r", "y_t"),
+    ]:
+        assert getattr(mirror, a) == getattr(rep, b)
+        assert getattr(mirror, b) == getattr(rep, a)
+    # left <-> bottom and right <-> top, coordinates swapped; nan marks an
+    # infinite branch point and compares equal to itself here.
+    left, bottom, right, top = (c[::-1] for c in rep.corners)
+    np.testing.assert_array_equal(mirror.corners, (bottom, left, top, right))
 
 
 # --- superposition ---

@@ -7,6 +7,7 @@ import qpwalk as q
 from qpwalk.errors import EmptyComponent, MixedGroup, TooLarge
 
 from conftest import product_form_walk, random_gamma, twelve_dot_set
+from partition_oracle import brute_force_partition
 
 
 def terms_of(*pairs):
@@ -114,7 +115,7 @@ def test_brute_force_matches_maximal_on_random_sets():
     for _ in range(150):
         g = random_gamma(rng)
         a = q.maximal_partitions(g)
-        b = q.brute_force_partition(g)
+        b = brute_force_partition(g)
         assert (a.h_groups, a.v_groups, a.g_groups) == (
             b.h_groups,
             b.v_groups,
@@ -124,14 +125,14 @@ def test_brute_force_matches_maximal_on_random_sets():
 
 def test_brute_force_runs_the_twelve_dot_set():
     a = q.maximal_partitions(twelve_dot_set())
-    b = q.brute_force_partition(twelve_dot_set())
+    b = brute_force_partition(twelve_dot_set())
     assert a.counts == b.counts == (6, 6, 4)
 
 
 def test_brute_force_size_cap():
     terms = [(0.05 + 0.07 * k, 0.9 - 0.06 * k, 1.0) for k in range(13)]
     with pytest.raises(TooLarge):
-        q.brute_force_partition(terms_of(*terms))
+        brute_force_partition(terms_of(*terms))
 
 
 def test_shared_coordinate_tolerance_groups():
