@@ -51,7 +51,6 @@ from .errors import (
     QpwalkError,
     SingularWalk,
     StalledAtBranchPoint,
-    TooLarge,
 )
 from .model import (
     Drift,

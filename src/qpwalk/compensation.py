@@ -30,6 +30,7 @@ from .errors import (
     StalledAtBranchPoint,
 )
 from .model import OFFSETS, WalkSpec
+from .oracle import _grid_residuals, balance_residuals
 from .terms import GammaSet, WeightedTerm
 
 SEED_RESIDUAL_TOL = 1e-10
@@ -416,31 +417,11 @@ def _folded_terms(series: CompensationSeries) -> list[WeightedTerm]:
 
 
 def _corner_residuals(spec: WalkSpec, terms: Sequence[WeightedTerm]) -> np.ndarray:
-    g = GammaSet(terms)
-
-    def m(i: int, j: int) -> float:
-        return float(g.value(i, j))
-
-    rows = np.empty(4)
-    origin_stay = 1.0 - spec.h(1) - spec.v(1) - spec.p(1, 1)
-    rows[0] = m(0, 0) - (
-        m(0, 0) * origin_stay
-        + m(1, 0) * spec.h(-1)
-        + m(0, 1) * spec.v(-1)
-        + m(1, 1) * spec.p(-1, -1)
-    )
-    rows[1] = m(1, 0) - (
-        sum(m(1 - s, 0) * spec.h(s) for s in OFFSETS)
-        + sum(m(1 - s, 1) * spec.p(s, -1) for s in OFFSETS)
-    )
-    rows[2] = m(0, 1) - (
-        sum(m(0, 1 - t) * spec.v(t) for t in OFFSETS)
-        + sum(m(1, 1 - t) * spec.p(-1, t) for t in OFFSETS)
-    )
-    rows[3] = m(1, 1) - sum(
-        m(1 - s, 1 - t) * spec.p(s, t) for s in OFFSETS for t in OFFSETS
-    )
-    return rows
+    """Raw balance residuals at the origin, (1, 0), (0, 1) and (1, 1)."""
+    I, J = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
+    m = sum(t.value(I, J) for t in terms)
+    interior, horiz, vert, origin = _grid_residuals(spec, m, 1)
+    return np.array([origin, horiz[0], vert[0], interior[0, 0]])
 
 
 def _mass(terms: Sequence[WeightedTerm]) -> float:
@@ -513,8 +494,6 @@ def assemble_measure(
                 merged.append(WeightedTerm(t.rho, t.sigma, alpha))
     merged = [t for t in merged if t.alpha != 0.0]
     gamma = GammaSet(merged)
-
-    from .oracle import balance_residuals
 
     report = balance_residuals(spec, gamma, window=window)
     return AssembledMeasure(

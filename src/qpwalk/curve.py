@@ -13,7 +13,11 @@ the zero set of Q carries every candidate term.
 At fixed x the kernel is a quadratic in y whose discriminant is a quartic
 in x; its real roots are the branch points that bound the positive
 component of the curve.  The boundary polynomials H and V play the same
-role for the balance equations on the two axes.
+role for the balance equations on the two axes.  H is linear in y, so the
+points where the curve meets H = 0 (the seeds of the compensation series)
+are the real roots of one polynomial in x of degree at most six; V is H
+of the transposed walk.  Branch points and seeds share one real-root
+finder.
 """
 
 from __future__ import annotations
@@ -116,9 +120,9 @@ def _polyval(coeffs: np.ndarray, x: float) -> float:
     return float(npoly.polyval(x, coeffs))
 
 
-def quartic_real_roots(coeffs: np.ndarray) -> tuple[list[float], int]:
-    """All real roots of a real quartic, with multiplicity, plus the count
-    of roots at infinity.
+def real_roots(coeffs: np.ndarray) -> tuple[list[float], int]:
+    """Real roots of a real polynomial, with multiplicity and sorted, plus
+    the count of roots at infinity.
 
     The polynomial is normalized to monic form and its companion matrix
     eigenvalues are taken; a leading coefficient smaller than
@@ -130,7 +134,7 @@ def quartic_real_roots(coeffs: np.ndarray) -> tuple[list[float], int]:
     coeffs = np.asarray(coeffs, dtype=float)
     scale = float(np.abs(coeffs).max())
     if scale == 0.0:
-        raise ComplexRoots("identically zero discriminant")
+        raise ComplexRoots("identically zero polynomial")
     deg = coeffs.size - 1
     n_inf = 0
     while deg > 0 and abs(coeffs[deg]) < DEGREE_DROP_TOL * scale:
@@ -167,11 +171,19 @@ def quartic_real_roots(coeffs: np.ndarray) -> tuple[list[float], int]:
         residual = abs(_polyval(coeffs[: deg + 1], r))
         if residual <= 1e-9 * scale * max(1.0, abs(r)) ** deg:
             roots.append(r)
+    roots.sort()
+    return roots, n_inf
+
+
+def quartic_real_roots(coeffs: np.ndarray) -> tuple[list[float], int]:
+    """``real_roots`` of a quartic discriminant, all of which theory says
+    are real; raises ComplexRoots when fewer are found than the degree."""
+    roots, n_inf = real_roots(coeffs)
+    deg = len(coeffs) - 1 - n_inf
     if len(roots) != deg:
         raise ComplexRoots(
             f"found {len(roots)} real roots of a degree-{deg} discriminant"
         )
-    roots.sort()
     return roots, n_inf
 
 
@@ -582,68 +594,51 @@ class Intersection:
 
 
 U_MARGIN = 1e-9
-_BISECT_STEPS = 200
 
 
-def curve_boundary_intersections(
-    spec: WalkSpec, n_samples: int = 4001
-) -> list[Intersection]:
+def _h_zeros(spec: WalkSpec, lo: float, hi: float) -> list[tuple[float, float]]:
+    """Distinct points of the curve with x in [lo, hi], inside the open
+    unit square by ``U_MARGIN``, where the horizontal balance polynomial
+    vanishes.
+
+    ``boundary_h(x, y) = y D(x) - N(x)`` is linear in y, so substituting
+    ``y = N / D`` into the kernel and clearing ``D^2`` leaves one
+    polynomial in x of degree at most six whose real roots are the zeros.
+    ``D > 0`` for ``x > 0`` on a nonsingular walk, so the division is safe
+    once x is inside the square.
+    """
+    D = np.array([spec.p(1, -1), spec.p(0, -1), spec.p(-1, -1)])
+    N = np.array([-spec.h(1), 1.0 - spec.h(0), -spec.h(-1)])
+    powers = (np.convolve(D, D), np.convolve(N, D), np.convolve(N, N))
+    c = kernel(spec).c
+    R = sum(np.convolve(c[:, b], powers[b]) for b in range(3))
+    roots, _ = real_roots(R)
+    zeros = []
+    for x in roots:
+        if not (lo <= x <= hi and U_MARGIN < x < 1.0 - U_MARGIN):
+            continue
+        y = _polyval(N, x) / _polyval(D, x)
+        if U_MARGIN < y < 1.0 - U_MARGIN and not any(
+            abs(x - x0) <= 1e-10 and abs(y - y0) <= 1e-10 for x0, y0 in zeros
+        ):
+            zeros.append((x, y))
+    return zeros
+
+
+def curve_boundary_intersections(spec: WalkSpec) -> list[Intersection]:
     """All boundary zeros on the positive curve component inside the open
-    unit square.
+    unit square, sorted by boundary and then by coordinates.
 
-    Scans both branches of the curve for sign changes of each boundary
-    polynomial and bisects each bracket down to machine width.  The point
-    (1, 1) always solves the interior balance but lies on the closed
-    square's boundary, so it is excluded along with everything else within
-    ``U_MARGIN`` of the unit square's edge.
+    The H zeros are the roots of one polynomial in x (see ``_h_zeros``);
+    the V zeros are the H zeros of the transposed walk with coordinates
+    swapped.  The point (1, 1) always solves the interior balance but lies
+    on the closed square's boundary, so it is excluded along with
+    everything else within ``U_MARGIN`` of the unit square's edge.
     """
     report = branch_points(spec)
-    ker = kernel(spec)
-    x_l, x_r = report.x_l, report.x_r
-    xs = _trace_grid(x_l, x_r, n_samples)
-    lower, upper, valid = _y_roots_on_interval(ker, xs)
-    xs, lower, upper = xs[valid], lower[valid], upper[valid]
-
-    def branch_root(x: float, use_lower: bool) -> float:
-        lo, up, _ = _y_roots_on_interval(ker, np.array([x]))
-        return float(lo[0] if use_lower else up[0])
-
-    spec_t = spec.transpose()
-    polys = (
-        ("H", lambda x, y: boundary_h(spec, x, y)),
-        ("V", lambda x, y: boundary_h(spec_t, y, x)),  # boundary_v, hoisted
-    )
-    found: list[Intersection] = []
-    for which, poly in polys:
-        for use_lower, ys in ((True, lower), (False, upper)):
-            vals = poly(xs, ys)
-            signs = np.sign(vals)
-            for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):
-                a, b = float(xs[i]), float(xs[i + 1])
-                fa = float(vals[i])
-                for _ in range(_BISECT_STEPS):
-                    mid = 0.5 * (a + b)
-                    fm = float(poly(mid, branch_root(mid, use_lower)))
-                    if fa * fm <= 0.0:
-                        b = mid
-                    else:
-                        a, fa = mid, fm
-                    if b - a <= 1e-15 * max(1.0, abs(b)):
-                        break
-                x_star = 0.5 * (a + b)
-                y_star = branch_root(x_star, use_lower)
-                if not (
-                    U_MARGIN < x_star < 1.0 - U_MARGIN
-                    and U_MARGIN < y_star < 1.0 - U_MARGIN
-                ):
-                    continue
-                if any(
-                    inter.which == which
-                    and abs(inter.x - x_star) <= 1e-10
-                    and abs(inter.y - y_star) <= 1e-10
-                    for inter in found
-                ):
-                    continue
-                found.append(Intersection(x_star, y_star, which))
+    h = _h_zeros(spec, report.x_l, report.x_r)
+    v = _h_zeros(spec.transpose(), report.y_b, report.y_t)
+    found = [Intersection(x, y, "H") for x, y in h]
+    found += [Intersection(x, y, "V") for y, x in v]
     found.sort(key=lambda p: (p.which, p.x, p.y))
     return found

@@ -71,7 +71,3 @@ class NotConverged(QpwalkError):
         super().__init__(
             f"power iteration: residual {residual:.3e} after {iterations} iterations"
         )
-
-
-class TooLarge(QpwalkError):
-    """Brute-force enumeration refused for oversized input."""

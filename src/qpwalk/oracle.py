@@ -236,11 +236,10 @@ def _relative(residual: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(out), 0.0, out)
 
 
-def grid_residual_report(
-    spec: WalkSpec, m: np.ndarray, window: int
-) -> VerificationReport:
-    """Balance residuals of an arbitrary measure grid on {0..window}
-    squared, relative to the local mass.
+def _grid_residuals(spec: WalkSpec, m: np.ndarray, window: int):
+    """Raw balance residuals (interior, horizontal, vertical, origin) of a
+    measure grid: each state's mass minus its inflow, on {0..window}
+    squared.
 
     The grid must extend at least one cell past the window in each
     direction so inflow sums stay inside it.
@@ -253,7 +252,6 @@ def grid_residual_report(
     for s in OFFSETS:
         for t in OFFSETS:
             inflow += spec.p(s, t) * m[1 - s : W + 1 - s, 1 - t : W + 1 - t]
-    interior = _relative(m[1 : W + 1, 1 : W + 1] - inflow, m[1 : W + 1, 1 : W + 1])
 
     inflow_h = np.zeros(W)
     inflow_v = np.zeros(W)
@@ -262,8 +260,6 @@ def grid_residual_report(
         inflow_h += spec.p(s, -1) * m[1 - s : W + 1 - s, 1]
         inflow_v += spec.v(s) * m[0, 1 - s : W + 1 - s]
         inflow_v += spec.p(-1, s) * m[1, 1 - s : W + 1 - s]
-    horiz = _relative(m[1 : W + 1, 0] - inflow_h, m[1 : W + 1, 0])
-    vert = _relative(m[0, 1 : W + 1] - inflow_v, m[0, 1 : W + 1])
 
     stay = 1.0 - spec.h(1) - spec.v(1) - spec.p(1, 1)
     inflow_o = (
@@ -272,15 +268,30 @@ def grid_residual_report(
         + m[0, 1] * spec.v(-1)
         + m[1, 1] * spec.p(-1, -1)
     )
-    origin = _relative(
-        np.asarray(m[0, 0] - inflow_o), np.asarray(m[0, 0])
+    return (
+        m[1 : W + 1, 1 : W + 1] - inflow,
+        m[1 : W + 1, 0] - inflow_h,
+        m[0, 1 : W + 1] - inflow_v,
+        m[0, 0] - inflow_o,
     )
 
+
+def grid_residual_report(
+    spec: WalkSpec, m: np.ndarray, window: int
+) -> VerificationReport:
+    """Balance residuals of an arbitrary measure grid on {0..window}
+    squared, relative to the local mass; see _grid_residuals."""
+    W = window
+    interior, horiz, vert, origin = _grid_residuals(spec, m, W)
     return VerificationReport(
-        max_residual_interior=float(interior.max()),
-        max_residual_h=float(horiz.max()),
-        max_residual_v=float(vert.max()),
-        max_residual_origin=float(origin),
+        max_residual_interior=float(
+            _relative(interior, m[1 : W + 1, 1 : W + 1]).max()
+        ),
+        max_residual_h=float(_relative(horiz, m[1 : W + 1, 0]).max()),
+        max_residual_v=float(_relative(vert, m[0, 1 : W + 1]).max()),
+        max_residual_origin=float(
+            _relative(np.asarray(origin), np.asarray(m[0, 0]))
+        ),
         window=window,
     )
 

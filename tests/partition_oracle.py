@@ -6,8 +6,12 @@ number of terms and it refuses more than twelve.
 
 from typing import Callable, Optional
 
-from qpwalk.errors import TooLarge
+from qpwalk.errors import QpwalkError
 from qpwalk.terms import GammaSet, PartitionResult
+
+
+class TooLarge(QpwalkError):
+    """Brute-force enumeration refused for oversized input."""
 
 
 def _best_valid_partition(n: int, linked: Callable[[int, int], bool]):

@@ -340,3 +340,24 @@ def test_assembled_to_dict(switch_measure):
     d = switch_measure.to_dict()
     assert set(d) >= {"terms", "weights", "condition", "residual_summary", "window"}
     assert d["residual_summary"]["max_residual_interior"] <= 1e-10
+
+
+# --- seeds beside the excluded root at coordinate 1 ---
+
+# (generator seed, draw) of eligible walks with a second seed within 6e-4
+# of a boundary root at coordinate exactly 1, which U_MARGIN excludes.
+NEAR_UNIT_SEED_WALKS = [(95, 25), (204, 50), (242, 69), (279, 53), (11, 322)]
+
+
+@pytest.mark.parametrize("seed,draw", NEAR_UNIT_SEED_WALKS)
+def test_seed_beside_the_unit_root_is_found(seed, draw):
+    rng = np.random.default_rng(seed)
+    for _ in range(draw):
+        spec = random_walk(rng, forced=True)
+    seeds = q.curve_boundary_intersections(spec)
+    assert sorted(s.which for s in seeds) == ["H", "V"]
+    series = [q.build_series(spec, s, tol=1e-12) for s in seeds]
+    measure = q.assemble_measure(series, spec, window=12)
+    assert measure.report.worst <= 1e-10
+    oracle = q.truncated_stationary(spec, 80)
+    assert q.compare(measure.gamma, oracle, core=8) <= 1e-6

@@ -14,6 +14,7 @@ from qpwalk.curve import (
     disc_x_coeffs,
     disc_y_coeffs,
     quartic_real_roots,
+    real_roots,
     x_quadratic,
     y_quadratic,
 )
@@ -169,6 +170,14 @@ def test_quartic_repeated_root():
     assert n_inf == 0
     assert found[0] == pytest.approx(0.5, abs=1e-6)
     assert found[1] == pytest.approx(0.5, abs=1e-6)
+
+
+def test_real_roots_skips_complex_pairs():
+    # (x - 0.4)(x - 1.7)(x^2 + 1)(x^2 - 2x + 5): two real roots, two pairs
+    coeffs = np.polymul(np.poly([0.4, 1.7]), np.polymul([1, 0, 1], [1, -2, 5]))
+    found, n_inf = real_roots(coeffs[::-1])
+    assert n_inf == 0
+    assert found == pytest.approx([0.4, 1.7], rel=1e-12)
 
 
 # --- branch points ---

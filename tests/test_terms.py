@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import qpwalk as q
-from qpwalk.errors import EmptyComponent, MixedGroup, TooLarge
+from qpwalk.errors import EmptyComponent, MixedGroup
 
 from conftest import product_form_walk, random_gamma, twelve_dot_set
-from partition_oracle import brute_force_partition
+from partition_oracle import TooLarge, brute_force_partition
 
 
 def terms_of(*pairs):
