@@ -1,9 +1,9 @@
 """Independent numerical ground truth for candidate measures.
 
-Nothing here knows about kernels or compensation: the stationary
-distribution comes from solving the truncated chain directly, balance
-residuals plug a measure into the raw balance equations, and the
-convexity check samples midpoints.  Agreement between these and the
+Nothing here knows about compensation: both stationary solvers read one
+description of the truncated chain, dense level blocks built from the step
+law.  Balance residuals plug a measure into the raw balance equations, and
+the convexity check samples midpoints.  Agreement between these and the
 analytic construction is the evidence the rest of the package stands on.
 """
 
@@ -24,7 +24,11 @@ from .terms import GammaSet
 MASS_FLOOR = 1e-13       # cells below this are excluded from relative errors
 POWER_TOL = 1e-13
 POWER_CAP = 200_000
-DIRECT_LIMIT = 120       # auto method switches to power iteration above this
+# auto switches to power iteration above this.  Direct is faster there too,
+# but keeps n+1 LU factors of (n+1)^2 doubles (33 MB at n=160): forced on the
+# benchmark's n=160 workload (one BLAS thread, 2-core Xeon) it took 0.4 s per
+# verification against 2.4 s, at 101 MB peak RSS against 75 MB.
+DIRECT_LIMIT = 120
 
 
 @dataclass(frozen=True)
@@ -39,46 +43,54 @@ class LatticeWindow:
         return block / block.sum()
 
 
+def _level_blocks(spec: WalkSpec, n: int) -> list[np.ndarray]:
+    """Dense level blocks of the walk truncated to {0..n} squared.
+
+    Levels are the second coordinate: ``blocks[j][t + 1][i, i2]`` is the
+    probability of moving from (i, j) to (i2, j + t).  Steps that would
+    leave the box stay put instead, summed onto the diagonal of
+    ``blocks[j][1]`` in (s, t) order.  Levels 0 < j < n share one array.
+    """
+    law = np.zeros((2, 2, 3, 3))  # law[i > 0, j > 0, s + 1, t + 1]
+    law[1, 1] = spec.interior
+    law[1, 0, :, 1] = spec.horizontal
+    law[1, 0, :, 2] = spec.interior[:, 2]
+    law[0, 1, 1, :] = spec.vertical
+    law[0, 1, 2, :] = spec.interior[2, :]
+    law[0, 0, 2, 1], law[0, 0, 1, 2], law[0, 0, 2, 2] = spec.h(1), spec.v(1), spec.p(1, 1)
+    law[0, 0, 1, 1] = 1.0 - spec.h(1) - spec.v(1) - spec.p(1, 1)
+    i = np.arange(n + 1)
+
+    def level(j: int) -> np.ndarray:
+        out = np.zeros((3, n + 1, n + 1))
+        row = law[np.minimum(i, 1), min(j, 1)]
+        for s in OFFSETS:
+            for t in OFFSETS:
+                leaves = (i + s < 0) | (i + s > n) | (not 0 <= j + t <= n)
+                to = np.where(leaves, i, i + s)
+                out[np.where(leaves, 1, t + 1), i, to] += row[:, s + 1, t + 1]
+        return out
+
+    kinds = {j: level(j) for j in {0, min(1, n), n}}
+    return [kinds[j if j in (0, n) else 1] for j in range(n + 1)]
+
+
 def transition_matrix(spec: WalkSpec, n: int) -> sp.csr_matrix:
     """Row-stochastic transition matrix of the walk truncated to {0..n}
     squared, with outflow across the truncation redirected to a self-loop.
 
-    State (i, j) maps to row i*(n+1) + j.
+    State (i, j) maps to row i*(n+1) + j.  Assembled from the level blocks.
     """
     N = n + 1
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    def add(i: int, j: int, i2: int, j2: int, pr: float) -> None:
-        if pr == 0.0:
-            return
+    levels = _level_blocks(spec, n)
+    rows, cols, vals = [], [], []
+    for blocks in {id(b): b for b in levels}.values():
+        j = np.array([j for j, b in enumerate(levels) if b is blocks])[:, None]
+        t, i, i2 = np.nonzero(blocks)
         rows.append(i * N + j)
-        if 0 <= i2 <= n and 0 <= j2 <= n:
-            cols.append(i2 * N + j2)
-        else:
-            cols.append(i * N + j)
-        vals.append(pr)
-
-    for i in range(N):
-        for j in range(N):
-            if i == 0 and j == 0:
-                add(0, 0, 1, 0, spec.h(1))
-                add(0, 0, 0, 1, spec.v(1))
-                add(0, 0, 1, 1, spec.p(1, 1))
-                add(0, 0, 0, 0, 1.0 - spec.h(1) - spec.v(1) - spec.p(1, 1))
-            elif j == 0:
-                for s in OFFSETS:
-                    add(i, 0, i + s, 0, spec.h(s))
-                    add(i, 0, i + s, 1, spec.p(s, 1))
-            elif i == 0:
-                for t in OFFSETS:
-                    add(0, j, 0, j + t, spec.v(t))
-                    add(0, j, 1, j + t, spec.p(1, t))
-            else:
-                for s in OFFSETS:
-                    for t in OFFSETS:
-                        add(i, j, i + s, j + t, spec.p(s, t))
+        cols.append(i2 * N + j + t - 1)
+        vals.append(np.broadcast_to(blocks[t, i, i2], rows[-1].shape))
+    rows, cols, vals = (np.concatenate(a, axis=None) for a in (rows, cols, vals))
     return sp.csr_matrix((vals, (rows, cols)), shape=(N * N, N * N))
 
 
@@ -103,7 +115,7 @@ def _gth(W: np.ndarray) -> np.ndarray:
     return x / x.sum()
 
 
-def _direct_censored(P: sp.csr_matrix, n: int) -> np.ndarray:
+def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:
     """Componentwise-accurate stationary grid via level censoring.
 
     Levels are the second coordinate.  Censoring eliminates levels from
@@ -114,30 +126,19 @@ def _direct_censored(P: sp.csr_matrix, n: int) -> np.ndarray:
     of pi P = pi, small cells keep full relative accuracy.
     """
     N = n + 1
-
-    def block(j: int, j2: int) -> np.ndarray:
-        idx_rows = np.arange(N) * N + j
-        idx_cols = np.arange(N) * N + j2
-        return np.asarray(P[idx_rows, :][:, idx_cols].todense())
-
+    blocks = _level_blocks(spec, n)  # blocks[j]: down, within, up
     lus = [None] * N
-    W = block(n, n)
-    lus[n] = lu_factor(np.eye(N) - W)
-    W0 = None
+    lus[n] = lu_factor(np.eye(N) - blocks[n][1])
     for j in range(n - 1, -1, -1):
-        A_down = block(j + 1, j)
-        A_up = block(j, j + 1)
         # A_up (I - W_{j+1})^{-1}: solve the transposed system on A_up^T.
-        Y = lu_solve(lus[j + 1], A_up.T, trans=1).T
-        Wj = block(j, j) + Y @ A_down
+        Y = lu_solve(lus[j + 1], blocks[j][2].T, trans=1).T
+        Wj = blocks[j][1] + Y @ blocks[j + 1][0]
         if j > 0:
             lus[j] = lu_factor(np.eye(N) - Wj)
-        else:
-            W0 = Wj
     levels = np.zeros((N, N))  # levels[j][i] = pi(i, j), unnormalized
-    levels[0] = _gth(W0)
+    levels[0] = _gth(Wj)  # the loop ends on W_0
     for j in range(n):
-        v = levels[j] @ block(j, j + 1)
+        v = levels[j] @ blocks[j][2]
         levels[j + 1] = lu_solve(lus[j + 1], v, trans=1)
     grid = levels.T.copy()
     return grid / grid.sum()
@@ -167,9 +168,9 @@ def truncated_stationary(
 ) -> LatticeWindow:
     """Stationary distribution of the truncated walk.
 
-    Methods: "direct" (censored elimination, componentwise accurate),
-    "power" (iterated transition operator to a 1e-13 successive change),
-    or "auto" picking direct up to n = 120.
+    Methods: "direct" (censored elimination, componentwise accurate, n+1
+    dense LU factors), "power" (iterated sparse transition operator to a
+    1e-13 successive change), or "auto" picking direct up to n = 120.
 
     Raises
     ------
@@ -181,12 +182,10 @@ def truncated_stationary(
         raise ValueError(f"truncation size n = {n} is too small, need n >= 8")
     if method == "auto":
         method = "direct" if n <= DIRECT_LIMIT else "power"
-    P = transition_matrix(spec, n)
     if method == "direct":
-        grid = _direct_censored(P, n)
+        grid = _direct_censored(spec, n)
     elif method == "power":
-        N = n + 1
-        grid = _power_iteration(P).reshape(N, N)
+        grid = _power_iteration(transition_matrix(spec, n)).reshape(n + 1, n + 1)
     else:
         raise ValueError(f"unknown method {method!r}")
     grid = np.abs(grid)

@@ -6,6 +6,7 @@ import pytest
 import qpwalk as q
 from qpwalk import oracle as oracle_mod
 from qpwalk.errors import NotConverged
+from qpwalk.model import OFFSETS
 from qpwalk.oracle import transition_matrix
 
 from conftest import product_form_walk, random_walk
@@ -28,11 +29,39 @@ def test_truncation_redirects_to_self_loop():
     spec = random_walk(rng)
     n = 9
     P = transition_matrix(spec, n).tocsr()
-    # corner state (n, n) would step outside; the lost mass stays put
-    idx = n * (n + 1) + n
-    diag = P[idx, idx]
-    outflow = spec.p(1, 1) + spec.p(1, 0) + spec.p(0, 1)
-    assert diag >= spec.p(0, 0) + outflow - 1e-15
+    p = spec.p
+    # steps that would leave {0..n} squared stay put
+    leaving = {
+        (n, n): p(1, -1) + p(1, 0) + p(1, 1) + p(0, 1) + p(-1, 1),
+        (n, 4): p(1, -1) + p(1, 0) + p(1, 1),  # right edge
+        (3, n): p(-1, 1) + p(0, 1) + p(1, 1),  # top edge
+    }
+    for (i, j), out in leaving.items():
+        idx = i * (n + 1) + j
+        assert P[idx, idx] == pytest.approx(p(0, 0) + out, abs=1e-15)
+
+
+def _step_law(spec, i, j):
+    """Steps from (i, j) as {(s, t): probability}: the interior law, or the
+    axis laws that reuse the interior steps pointing away from the axis."""
+    if i > 0 and j > 0:
+        return {(s, t): spec.p(s, t) for s in OFFSETS for t in OFFSETS}
+    if i > 0:
+        return {**{(s, 0): spec.h(s) for s in OFFSETS},
+                **{(s, 1): spec.p(s, 1) for s in OFFSETS}}
+    if j > 0:
+        return {**{(0, t): spec.v(t) for t in OFFSETS},
+                **{(1, t): spec.p(1, t) for t in OFFSETS}}
+    stay = 1.0 - spec.h(1) - spec.v(1) - spec.p(1, 1)
+    return {(0, 0): stay, (1, 0): spec.h(1), (0, 1): spec.v(1), (1, 1): spec.p(1, 1)}
+
+
+def _check_row(P, spec, n, i, j):
+    row = P[i * (n + 1) + j].toarray().ravel()
+    expected = np.zeros_like(row)
+    for (s, t), pr in _step_law(spec, i, j).items():
+        expected[(i + s) * (n + 1) + (j + t)] = pr
+    assert row == pytest.approx(expected, abs=1e-15)
 
 
 def test_interior_row_matches_steps():
@@ -40,13 +69,15 @@ def test_interior_row_matches_steps():
     spec = random_walk(rng)
     n = 10
     P = transition_matrix(spec, n).tocsr()
-    i, j = 4, 5
-    row = P[i * (n + 1) + j].toarray().ravel()
-    for s in (-1, 0, 1):
-        for t in (-1, 0, 1):
-            assert row[(i + s) * (n + 1) + (j + t)] == pytest.approx(
-                spec.p(s, t), abs=1e-15
-            )
+    _check_row(P, spec, n, 4, 5)
+
+
+@pytest.mark.parametrize("state", [(0, 0), (6, 0), (0, 3)], ids=["origin", "horizontal", "vertical"])
+def test_axis_row_matches_steps(state):
+    rng = np.random.default_rng(62)
+    spec = random_walk(rng)
+    n = 10
+    _check_row(transition_matrix(spec, n).tocsr(), spec, n, *state)
 
 
 # --- stationary solve ---
