@@ -24,11 +24,6 @@ from .terms import GammaSet
 MASS_FLOOR = 1e-13       # cells below this are excluded from relative errors
 POWER_TOL = 1e-13
 POWER_CAP = 200_000
-# auto switches to power iteration above this.  Direct is faster there too,
-# but keeps n+1 LU factors of (n+1)^2 doubles (33 MB at n=160): forced on the
-# benchmark's n=160 workload (one BLAS thread, 2-core Xeon) it took 0.4 s per
-# verification against 2.4 s, at 101 MB peak RSS against 75 MB.
-DIRECT_LIMIT = 120
 
 
 @dataclass(frozen=True)
@@ -124,22 +119,40 @@ def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:
     censored chain is solved by state reduction and the stationary mass is
     propagated back up one level at a time.  Unlike a plain sparse solve
     of pi P = pi, small cells keep full relative accuracy.
+
+    The way back up needs the LU factor of I - W_j at every level, but
+    only every k-th factor (k = isqrt(n+1)) and the bottom segment are
+    kept on the way down.  Each segment above is rebuilt from the
+    checkpoint over it when the way back reaches it, by the same calls in
+    the same order, so the grid is the one that keeping all n+1 factors
+    gives, bit for bit.  About 2 sqrt(n) factors of (n+1)^2 doubles are
+    alive at once, O(n^2.5) memory, for one more factorization per level.
     """
     N = n + 1
+    k = math.isqrt(N)
     blocks = _level_blocks(spec, n)  # blocks[j]: down, within, up
-    lus = [None] * N
-    lus[n] = lu_factor(np.eye(N) - blocks[n][1])
-    for j in range(n - 1, -1, -1):
+
+    def censored(j: int, lu) -> np.ndarray:
+        """W_j from lu, the factor of I - W_{j+1}."""
         # A_up (I - W_{j+1})^{-1}: solve the transposed system on A_up^T.
-        Y = lu_solve(lus[j + 1], blocks[j][2].T, trans=1).T
-        Wj = blocks[j][1] + Y @ blocks[j + 1][0]
-        if j > 0:
-            lus[j] = lu_factor(np.eye(N) - Wj)
+        Y = lu_solve(lu, blocks[j][2].T, trans=1).T
+        return blocks[j][1] + Y @ blocks[j + 1][0]
+
+    lus = {n: lu_factor(np.eye(N) - blocks[n][1])}  # level -> LU factor
+    lu = lus[n]
+    for j in range(n - 1, 0, -1):
+        lu = lu_factor(np.eye(N) - censored(j, lu))
+        if j % k == 0 or j < k:
+            lus[j] = lu
     levels = np.zeros((N, N))  # levels[j][i] = pi(i, j), unnormalized
-    levels[0] = _gth(Wj)  # the loop ends on W_0
-    for j in range(n):
-        v = levels[j] @ blocks[j][2]
-        levels[j + 1] = lu_solve(lus[j + 1], v, trans=1)
+    levels[0] = _gth(censored(0, lus[1]))
+    for j in range(1, N):
+        if j not in lus:  # rebuild this segment from the checkpoint above
+            top = min(j - j % k + k, n)
+            for i in range(top - 1, j - 1, -1):
+                lus[i] = lu_factor(np.eye(N) - censored(i, lus[i + 1]))
+        v = levels[j - 1] @ blocks[j - 1][2]
+        levels[j] = lu_solve(lus.pop(j), v, trans=1)
     grid = levels.T.copy()
     return grid / grid.sum()
 
@@ -168,9 +181,10 @@ def truncated_stationary(
 ) -> LatticeWindow:
     """Stationary distribution of the truncated walk.
 
-    Methods: "direct" (censored elimination, componentwise accurate, n+1
-    dense LU factors), "power" (iterated sparse transition operator to a
-    1e-13 successive change), or "auto" picking direct up to n = 120.
+    Methods: "direct" (censored elimination, componentwise accurate,
+    O(n^2.5) memory through checkpointed LU factors), "power" (iterated
+    sparse transition operator to a 1e-13 successive change, kept as an
+    independent reference), or "auto", which is direct at every n.
 
     Raises
     ------
@@ -180,9 +194,7 @@ def truncated_stationary(
     ensure_valid(spec)
     if n < 8:
         raise ValueError(f"truncation size n = {n} is too small, need n >= 8")
-    if method == "auto":
-        method = "direct" if n <= DIRECT_LIMIT else "power"
-    if method == "direct":
+    if method in ("auto", "direct"):
         grid = _direct_censored(spec, n)
     elif method == "power":
         grid = _power_iteration(transition_matrix(spec, n)).reshape(n + 1, n + 1)

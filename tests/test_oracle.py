@@ -1,5 +1,7 @@
 """Truncated-chain oracle, residual reports and the convexity sampler."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from qpwalk.errors import NotConverged
 from qpwalk.model import OFFSETS
 from qpwalk.oracle import transition_matrix
 
-from conftest import product_form_walk, random_walk
+from conftest import PRESET_NAMES, product_form_walk, random_walk
+from keep_all_censored import keep_all_censored
 
 
 # --- transition matrix ---
@@ -107,6 +110,59 @@ def test_direct_and_power_agree():
     a = q.truncated_stationary(spec, 25, method="direct")
     b = q.truncated_stationary(spec, 25, method="power")
     assert np.abs(a.values - b.values).max() <= 1e-10
+
+
+def _bit_identity_walks():
+    rng = np.random.default_rng(73)
+    walks = [(name, q.presets.load(name)) for name in PRESET_NAMES]
+    return walks + [("forced", random_walk(rng, forced=True)), ("free", random_walk(rng))]
+
+
+# n + 1 a perfect square (15, 24, 80) or not (8, 9, 30, 100): the checkpoint
+# spacing isqrt(n + 1) divides the levels evenly or leaves a short top segment.
+@pytest.mark.parametrize("n", [8, 9, 15, 24, 30, 80, 100])
+def test_checkpointed_solve_is_bit_identical_to_keep_all(n):
+    for name, spec in _bit_identity_walks():
+        got = oracle_mod._direct_censored(spec, n)
+        want = keep_all_censored(spec, n)
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_direct_solve_memory_stays_checkpointed(switch):
+    # Keeping all n+1 LU factors peaks at 36 MB here; the checkpointed solve
+    # measured 7.9 MB (numpy 2.4, scipy 1.17).
+    tracemalloc.start()
+    try:
+        q.truncated_stationary(switch, 160, method="direct")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+
+
+def test_auto_is_direct_at_every_n(switch, monkeypatch):
+    solved = []
+
+    def direct(spec, n):
+        solved.append(n)
+        return np.ones((n + 1, n + 1))
+
+    monkeypatch.setattr(oracle_mod, "_direct_censored", direct)
+    for n in (8, 120, 121, 400):
+        q.truncated_stationary(switch, n)
+    assert solved == [8, 120, 121, 400]
+
+
+@pytest.mark.parametrize("n", [13, 30])
+def test_default_method_solves_where_power_stalls(n):
+    # The 29th forced draw of this generator (drift -0.52, -0.45): power
+    # iteration raises NotConverged after 200,000 iterations at n = 13 and 30.
+    rng = np.random.default_rng(2024)
+    spec = [random_walk(rng, forced=True) for _ in range(29)][-1]
+    pi = q.truncated_stationary(spec, n).values.ravel()
+    assert np.isfinite(pi).all() and pi.min() >= 0.0
+    assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(pi @ transition_matrix(spec, n) - pi).max() <= 1e-13
 
 
 def test_power_iteration_cap_raises(monkeypatch):
