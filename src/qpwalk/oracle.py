@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import NotConverged
 from .model import OFFSETS, WalkSpec, ensure_valid
 from .terms import GammaSet
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 MASS_FLOOR = 1e-13       # cells below this are excluded from relative errors
 POWER_TOL = 1e-13
@@ -75,7 +76,11 @@ def transition_matrix(spec: WalkSpec, n: int) -> sp.csr_matrix:
     squared, with outflow across the truncation redirected to a self-loop.
 
     State (i, j) maps to row i*(n+1) + j.  Assembled from the level blocks.
+    Only this and power iteration need scipy, so it is imported here and
+    the direct solve, the default, runs on numpy alone.
     """
+    import scipy.sparse as sp
+
     N = n + 1
     levels = _level_blocks(spec, n)
     rows, cols, vals = [], [], []
@@ -101,8 +106,7 @@ def _gth(W: np.ndarray) -> np.ndarray:
     for k in range(m - 1, 0, -1):
         s = A[k, :k].sum()
         A[:k, k] /= s
-        for i in range(k):
-            A[:k, i] += A[:k, k] * A[k, i]
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
     x = np.zeros(m)
     x[0] = 1.0
     for k in range(1, m):
@@ -114,45 +118,49 @@ def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:
     """Componentwise-accurate stationary grid via level censoring.
 
     Levels are the second coordinate.  Censoring eliminates levels from
-    the top down: the chain watched only below level j+1 has transition
-    blocks W_j = A_within + A_up (I - W_{j+1})^{-1} A_down.  The level-0
-    censored chain is solved by state reduction and the stationary mass is
-    propagated back up one level at a time.  Unlike a plain sparse solve
-    of pi P = pi, small cells keep full relative accuracy.
+    the top down: the chain watched only below level j has transition
+    blocks W_{j-1} = A_within + R_j A_down, where
+    R_j = A_up (I - W_j)^{-1} is the rate matrix of the matrix-geometric
+    method (Neuts; Latouche-Ramaswami).  The level-0 censored chain is
+    solved by state reduction and the stationary mass is carried back up
+    by pi_j = pi_{j-1} R_j, a product of non-negative terms.  Unlike a
+    plain sparse solve of pi P = pi, small cells keep full relative
+    accuracy.
 
-    The way back up needs the LU factor of I - W_j at every level, but
-    only every k-th factor (k = isqrt(n+1)) and the bottom segment are
-    kept on the way down.  Each segment above is rebuilt from the
-    checkpoint over it when the way back reaches it, by the same calls in
-    the same order, so the grid is the one that keeping all n+1 factors
-    gives, bit for bit.  About 2 sqrt(n) factors of (n+1)^2 doubles are
-    alive at once, O(n^2.5) memory, for one more factorization per level.
+    The way back up needs R_j at every level, but only every k-th one
+    (k = isqrt(n+1)) and the bottom segment are kept on the way down.
+    Each segment above is rebuilt from the R checkpoint over it when the
+    way back reaches it, by the same calls in the same order, so the grid
+    is the one that keeping all n matrices gives, bit for bit.  About
+    2 sqrt(n) matrices of (n+1)^2 doubles are alive at once, O(n^2.5)
+    memory, for one more solve per level.
     """
     N = n + 1
     k = math.isqrt(N)
     blocks = _level_blocks(spec, n)  # blocks[j]: down, within, up
 
-    def censored(j: int, lu) -> np.ndarray:
-        """W_j from lu, the factor of I - W_{j+1}."""
-        # A_up (I - W_{j+1})^{-1}: solve the transposed system on A_up^T.
-        Y = lu_solve(lu, blocks[j][2].T, trans=1).T
-        return blocks[j][1] + Y @ blocks[j + 1][0]
+    def rate(j: int, W: np.ndarray) -> np.ndarray:
+        """R_j from W = W_j: solve the transposed system on A_up^T."""
+        return np.linalg.solve((np.eye(N) - W).T, blocks[j - 1][2].T).T
 
-    lus = {n: lu_factor(np.eye(N) - blocks[n][1])}  # level -> LU factor
-    lu = lus[n]
+    def censored(j: int, R: np.ndarray) -> np.ndarray:
+        """W_j from R = R_{j+1}."""
+        return blocks[j][1] + R @ blocks[j + 1][0]
+
+    R = rate(n, blocks[n][1])
+    Rs = {n: R}  # level -> R_j
     for j in range(n - 1, 0, -1):
-        lu = lu_factor(np.eye(N) - censored(j, lu))
+        R = rate(j, censored(j, R))
         if j % k == 0 or j < k:
-            lus[j] = lu
+            Rs[j] = R
     levels = np.zeros((N, N))  # levels[j][i] = pi(i, j), unnormalized
-    levels[0] = _gth(censored(0, lus[1]))
+    levels[0] = _gth(censored(0, Rs[1]))
     for j in range(1, N):
-        if j not in lus:  # rebuild this segment from the checkpoint above
+        if j not in Rs:  # rebuild this segment from the checkpoint above
             top = min(j - j % k + k, n)
             for i in range(top - 1, j - 1, -1):
-                lus[i] = lu_factor(np.eye(N) - censored(i, lus[i + 1]))
-        v = levels[j - 1] @ blocks[j - 1][2]
-        levels[j] = lu_solve(lus.pop(j), v, trans=1)
+                Rs[i] = rate(i, censored(i, Rs[i + 1]))
+        levels[j] = levels[j - 1] @ Rs.pop(j)
     grid = levels.T.copy()
     return grid / grid.sum()
 
@@ -181,10 +189,12 @@ def truncated_stationary(
 ) -> LatticeWindow:
     """Stationary distribution of the truncated walk.
 
-    Methods: "direct" (censored elimination, componentwise accurate,
-    O(n^2.5) memory through checkpointed LU factors), "power" (iterated
-    sparse transition operator to a 1e-13 successive change, kept as an
-    independent reference), or "auto", which is direct at every n.
+    Methods: "direct" (censored elimination in matrix-geometric form,
+    componentwise accurate, numpy only, O(n^2.5) memory through
+    checkpointed rate matrices), "power" (iterated sparse transition
+    operator to a 1e-13 successive change, kept as an independent
+    reference, the only method that loads scipy), or "auto", which is
+    direct at every n.
 
     Raises
     ------

@@ -1,32 +1,54 @@
-"""Keep-all reference for ``qpwalk.oracle._direct_censored``.
+"""Reference implementations for ``qpwalk.oracle``'s direct solve.
 
-The same level censoring, holding the LU factor of every level from the
-way down to the way back up: n+1 factors of (n+1)^2 doubles, 33 MB at
-n=160.  The shipped solve keeps only checkpoints and rebuilds the rest by
-the same calls in the same order, so the two grids must agree bit for bit.
+``keep_all_censored`` is the same level censoring in matrix-geometric
+form, holding the rate matrix R_j of every level from the way down to the
+way back up: n matrices of (n+1)^2 doubles, a 36 MB peak at n=160.  The
+shipped solve keeps only checkpoints and rebuilds the rest by the same
+calls in the same order, so the two grids must agree bit for bit.
+
+``loop_gth`` is state reduction with its rank-1 update written as a loop
+over columns, the form the shipped vectorized ``_gth`` must match byte
+for byte.
 """
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from qpwalk.oracle import _gth, _level_blocks
 
 
-def keep_all_censored(spec, n: int) -> np.ndarray:
+def censor_all(spec, n: int):
+    """Every rate matrix R_1..R_n (index 0 unused) and the bottom block W_0."""
     N = n + 1
     blocks = _level_blocks(spec, n)  # blocks[j]: down, within, up
-    lus = [None] * N
-    lus[n] = lu_factor(np.eye(N) - blocks[n][1])
-    for j in range(n - 1, -1, -1):
-        # A_up (I - W_{j+1})^{-1}: solve the transposed system on A_up^T.
-        Y = lu_solve(lus[j + 1], blocks[j][2].T, trans=1).T
-        Wj = blocks[j][1] + Y @ blocks[j + 1][0]
-        if j > 0:
-            lus[j] = lu_factor(np.eye(N) - Wj)
-    levels = np.zeros((N, N))  # levels[j][i] = pi(i, j), unnormalized
-    levels[0] = _gth(Wj)  # the loop ends on W_0
-    for j in range(n):
-        v = levels[j] @ blocks[j][2]
-        levels[j + 1] = lu_solve(lus[j + 1], v, trans=1)
+    Rs = [None] * N
+    W = blocks[n][1]
+    for j in range(n, 0, -1):
+        # R_j = A_up (I - W_j)^{-1}: solve the transposed system on A_up^T.
+        Rs[j] = np.linalg.solve((np.eye(N) - W).T, blocks[j - 1][2].T).T
+        W = blocks[j - 1][1] + Rs[j] @ blocks[j][0]
+    return Rs, W
+
+
+def keep_all_censored(spec, n: int) -> np.ndarray:
+    Rs, W0 = censor_all(spec, n)
+    levels = np.zeros((n + 1, n + 1))  # levels[j][i] = pi(i, j), unnormalized
+    levels[0] = _gth(W0)
+    for j in range(1, n + 1):
+        levels[j] = levels[j - 1] @ Rs[j]
     grid = levels.T.copy()
     return grid / grid.sum()
+
+
+def loop_gth(W: np.ndarray) -> np.ndarray:
+    A = np.array(W, dtype=float)
+    m = A.shape[0]
+    for k in range(m - 1, 0, -1):
+        s = A[k, :k].sum()
+        A[:k, k] /= s
+        for i in range(k):
+            A[:k, i] += A[:k, k] * A[k, i]
+    x = np.zeros(m)
+    x[0] = 1.0
+    for k in range(1, m):
+        x[k] = x[:k] @ A[:k, k]
+    return x / x.sum()

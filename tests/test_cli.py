@@ -144,6 +144,42 @@ def test_construct_rejects_ineligible_walk(capsys):
     assert "error" in diag
 
 
+# --- start-up: no scipy on the CLI path ---
+
+
+def _scipy_after(code, *argv):
+    """scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    probe = (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code + probe, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_after("import qpwalk") == []
+
+
+def test_construct_and_verify_load_no_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "from qpwalk.cli import main\n"
+        "assert main(['construct', 'switch_fig7', '-o', sys.argv[1]]) == 0\n"
+        "assert main(['verify', 'switch_fig7', sys.argv[1]]) == 0"
+    )
+    assert _scipy_after(code, str(tmp_path / "measure.json")) == []
+
+
+def test_transition_matrix_loads_scipy_sparse():
+    # the probe above sees scipy when it is loaded
+    code = "import qpwalk as q\nq.transition_matrix(q.presets.load('fig2a'), 8)"
+    assert "scipy.sparse" in _scipy_after(code)
+
+
 # --- verify ---
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import qpwalk as q
 from qpwalk import oracle as oracle_mod
@@ -12,7 +13,7 @@ from qpwalk.model import OFFSETS
 from qpwalk.oracle import transition_matrix
 
 from conftest import PRESET_NAMES, product_form_walk, random_walk
-from keep_all_censored import keep_all_censored
+from keep_all_censored import censor_all, keep_all_censored, loop_gth
 
 
 # --- transition matrix ---
@@ -25,6 +26,11 @@ def test_rows_are_stochastic():
         P = transition_matrix(spec, n)
         sums = np.asarray(P.sum(axis=1)).ravel()
         assert np.allclose(sums, 1.0, atol=1e-14)
+
+
+def test_transition_matrix_is_csr():
+    rng = np.random.default_rng(60)
+    assert isinstance(transition_matrix(random_walk(rng), 8), sp.csr_matrix)
 
 
 def test_truncation_redirects_to_self_loop():
@@ -128,9 +134,25 @@ def test_checkpointed_solve_is_bit_identical_to_keep_all(n):
         assert got.tobytes() == want.tobytes(), name
 
 
+@pytest.mark.parametrize("n", [8, 30, 80])
+def test_gth_matches_loop_on_preset_bottom_blocks(n):
+    for name, spec in _bit_identity_walks():
+        W0 = censor_all(spec, n)[1]
+        assert oracle_mod._gth(W0).tobytes() == loop_gth(W0).tobytes(), name
+
+
+def test_gth_matches_loop_on_random_stochastic_matrices():
+    # Entries spread over 30 orders of magnitude, as in censored blocks.
+    rng = np.random.default_rng(74)
+    for m in (9, 10, 17, 41, 81, 120, 161):
+        W = 10.0 ** rng.uniform(-30, 0, (m, m))
+        W /= W.sum(axis=1, keepdims=True)
+        assert oracle_mod._gth(W).tobytes() == loop_gth(W).tobytes(), m
+
+
 def test_direct_solve_memory_stays_checkpointed(switch):
-    # Keeping all n+1 LU factors peaks at 36 MB here; the checkpointed solve
-    # measured 7.9 MB (numpy 2.4, scipy 1.17).
+    # Keeping all n rate matrices peaks at 36 MB here; the checkpointed
+    # solve measured 8.0 MB (numpy 2.4, no scipy).
     tracemalloc.start()
     try:
         q.truncated_stationary(switch, 160, method="direct")
