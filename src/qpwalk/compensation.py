@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .curve import U_MARGIN, boundary_h, boundary_v, kernel, y_quadratic
+from .curve import U_MARGIN, KernelPoly, boundary_h, boundary_v, kernel, y_quadratic
 from .errors import (
     DegenerateT,
     Diverged,
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .model import OFFSETS, WalkSpec
 from .oracle import _grid_residuals, balance_residuals
-from .terms import GammaSet, WeightedTerm
+from .terms import GammaSet, WeightedTerm, _merge_terms, _term_sum
 
 SEED_RESIDUAL_TOL = 1e-10
 SERIES_RESIDUAL_TOL = 1e-12
@@ -138,8 +138,12 @@ def _other_root(A: float, B: float, C: float, known: float) -> float:
 
 def companion_v_status(term: TermLike, spec: WalkSpec) -> CompanionStatus:
     """Other root of the kernel quadratic in y at the term's x-coordinate."""
+    return _companion_v(term, kernel(spec))
+
+
+def _companion_v(term: TermLike, ker: KernelPoly) -> CompanionStatus:
+    """companion_v_status with the walk's kernel already built."""
     rho, sigma = _coords(term)
-    ker = kernel(spec)
     if abs(ker.value(rho, sigma)) > SEED_RESIDUAL_TOL * ker.scale * max(
         1.0, rho * rho
     ) * max(1.0, sigma * sigma):
@@ -323,10 +327,11 @@ def build_series(
     # repair the horizontal one: companion_v keeps rho and the H-ratio
     # cancels bh_sum of the new pair.  The V-coupled step is the same step
     # in the transposed walk, reached by transposing the term on the way in
-    # and out.
+    # and out.  Each frame's kernel is built once here; the transposed
+    # walk's kernel is the transpose of this one.
     frames = (
-        (spec, "H-coupled", lambda t: t),
-        (spec.transpose(), "V-coupled", WeightedTerm.transpose),
+        (spec, ker, "H-coupled", lambda t: t),
+        (spec.transpose(), KernelPoly(ker.c.T), "V-coupled", WeightedTerm.transpose),
     )
     side = 0 if seeded == "V" else 1
     stopped = "max-terms"
@@ -334,8 +339,8 @@ def build_series(
 
     while len(terms) < max_terms:
         prev = terms[-1]
-        frame, link, mirror = frames[side]
-        status = companion_v_status(mirror(prev), frame)
+        frame, frame_ker, link, mirror = frames[side]
+        status = _companion_v(mirror(prev), frame_ker)
         if status.term is None:
             stalled = status
             break
@@ -419,7 +424,7 @@ def _folded_terms(series: CompensationSeries) -> list[WeightedTerm]:
 def _corner_residuals(spec: WalkSpec, terms: Sequence[WeightedTerm]) -> np.ndarray:
     """Raw balance residuals at the origin, (1, 0), (0, 1) and (1, 1)."""
     I, J = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
-    m = sum(t.value(I, J) for t in terms)
+    m = _term_sum(terms, I, J)
     interior, horiz, vert, origin = _grid_residuals(spec, m, 1)
     return np.array([origin, horiz[0], vert[0], interior[0, 0]])
 
@@ -477,22 +482,11 @@ def assemble_measure(
         )
     weights = weights / total
 
-    merged: list[WeightedTerm] = []
-    for w, terms in zip(weights, folded):
-        for t in terms:
-            alpha = float(w) * t.alpha
-            for idx, seen in enumerate(merged):
-                if (
-                    abs(seen.rho - t.rho) <= 1e-9 * max(seen.rho, t.rho)
-                    and abs(seen.sigma - t.sigma) <= 1e-9 * max(seen.sigma, t.sigma)
-                ):
-                    merged[idx] = WeightedTerm(
-                        seen.rho, seen.sigma, seen.alpha + alpha
-                    )
-                    break
-            else:
-                merged.append(WeightedTerm(t.rho, t.sigma, alpha))
-    merged = [t for t in merged if t.alpha != 0.0]
+    merged = _merge_terms(
+        WeightedTerm(t.rho, t.sigma, float(w) * t.alpha)
+        for w, terms in zip(weights, folded)
+        for t in terms
+    )
     gamma = GammaSet(merged)
 
     report = balance_residuals(spec, gamma, window=window)

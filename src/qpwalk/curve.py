@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -51,19 +52,36 @@ class KernelPoly:
 
     c: np.ndarray
 
-    @property
+    @cached_property
     def scale(self) -> float:
         return float(np.abs(self.c).max())
 
+    @cached_property
+    def _coeffs(self) -> list[list[float]]:
+        # c as Python floats: scalar arithmetic on them skips numpy's
+        # per-call overhead and rounds exactly as numpy does.
+        return self.c.tolist()
+
     def value(self, x, y):
-        """Evaluate Q; broadcasts over array inputs."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        total = np.zeros(np.broadcast(x, y).shape)
-        for a in range(3):
-            for b in range(3):
-                total += self.c[a, b] * x**a * y**b
-        return total if total.shape else float(total)
+        """Evaluate Q at floats, or at arrays, which broadcast.
+
+        One body serves both: it adds ``c[a][b] * x^a * y^b`` in (a, b)
+        order, with ``x^2`` formed as ``x * x`` as numpy's ``x**2`` is.
+        A float call therefore returns the bits of the matching entry of
+        an array call, and of the former form that ran every call through
+        numpy arrays.  Floats give a float, arrays an array.
+        """
+        if isinstance(x, (list, tuple)):
+            x = np.asarray(x, dtype=float)
+        if isinstance(y, (list, tuple)):
+            y = np.asarray(y, dtype=float)
+        xs = (1.0, x, x * x)
+        ys = (1.0, y, y * y)
+        total = 0.0
+        for a, row in enumerate(self._coeffs):
+            for b, cab in enumerate(row):
+                total = total + cab * xs[a] * ys[b]
+        return total if isinstance(total, np.ndarray) else float(total)
 
 
 def kernel(spec: WalkSpec) -> KernelPoly:
@@ -89,11 +107,10 @@ def kernel(spec: WalkSpec) -> KernelPoly:
 
 def y_quadratic(ker: KernelPoly, x):
     """Coefficients ``(A, B, C)`` of ``Q(x, .)`` as ``A y^2 + B y + C``."""
-    x = np.asarray(x, dtype=float)
-    c = ker.c
-    A = c[0, 2] + x * (c[1, 2] + x * c[2, 2])
-    B = c[0, 1] + x * (c[1, 1] + x * c[2, 1])
-    C = c[0, 0] + x * (c[1, 0] + x * c[2, 0])
+    c = ker._coeffs
+    A = c[0][2] + x * (c[1][2] + x * c[2][2])
+    B = c[0][1] + x * (c[1][1] + x * c[2][1])
+    C = c[0][0] + x * (c[1][0] + x * c[2][0])
     return A, B, C
 
 
@@ -116,8 +133,14 @@ def disc_x_coeffs(ker: KernelPoly) -> np.ndarray:
     return disc_y_coeffs(KernelPoly(ker.c.T))
 
 
-def _polyval(coeffs: np.ndarray, x: float) -> float:
-    return float(npoly.polyval(x, coeffs))
+def _polyval(coeffs: list[float], x: float) -> float:
+    """Ascending coefficients evaluated by Horner's rule, in the operations
+    of ``numpy.polynomial.polynomial.polyval`` (which starts from
+    ``c[-1] + x*0``) so the bits match it, on Python floats."""
+    total = coeffs[-1] + x * 0
+    for c in reversed(coeffs[:-1]):
+        total = c + total * x
+    return float(total)
 
 
 def real_roots(coeffs: np.ndarray) -> tuple[list[float], int]:
@@ -149,7 +172,8 @@ def real_roots(coeffs: np.ndarray) -> tuple[list[float], int]:
     companion[:, -1] = -monic[:deg]
     eigs = np.linalg.eigvals(companion)
 
-    deriv = npoly.polyder(coeffs[: deg + 1])
+    poly = coeffs[: deg + 1].tolist()
+    deriv = npoly.polyder(coeffs[: deg + 1]).tolist()
     roots: list[float] = []
     for z in eigs:
         # Double roots perturb into conjugate pairs with |Im| ~ sqrt(eps),
@@ -158,7 +182,7 @@ def real_roots(coeffs: np.ndarray) -> tuple[list[float], int]:
             continue
         r = float(z.real)
         for _ in range(60):
-            fr = _polyval(coeffs[: deg + 1], r)
+            fr = _polyval(poly, r)
             dr = _polyval(deriv, r)
             if dr == 0.0:
                 break
@@ -168,7 +192,7 @@ def real_roots(coeffs: np.ndarray) -> tuple[list[float], int]:
             r -= step
             if abs(step) <= 1e-16 * max(1.0, abs(r)):
                 break
-        residual = abs(_polyval(coeffs[: deg + 1], r))
+        residual = abs(_polyval(poly, r))
         if residual <= 1e-9 * scale * max(1.0, abs(r)) ** deg:
             roots.append(r)
     roots.sort()
@@ -297,7 +321,7 @@ def _axis_branch_data(spec: WalkSpec) -> AxisBranchData:
     above = [r for r in finite if r > 1.0 + UNIT_ROOT_TOL]
     if unit:
         # Decide which side of the unit root the positive component extends.
-        probe = _polyval(coeffs, 1.0 + 1e-6)
+        probe = _polyval(coeffs.tolist(), 1.0 + 1e-6)
         if probe > 0.0:
             low = 1.0
             high = min(above) if above else math.inf
@@ -613,6 +637,7 @@ def _h_zeros(spec: WalkSpec, lo: float, hi: float) -> list[tuple[float, float]]:
     c = kernel(spec).c
     R = sum(np.convolve(c[:, b], powers[b]) for b in range(3))
     roots, _ = real_roots(R)
+    N, D = N.tolist(), D.tolist()
     zeros = []
     for x in roots:
         if not (lo <= x <= hi and U_MARGIN < x < 1.0 - U_MARGIN):

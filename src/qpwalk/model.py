@@ -26,7 +26,7 @@ STOCH_TOL = 1e-12
 OFFSETS = (-1, 0, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WalkSpec:
     """Transition law of a homogeneous quarter-plane random walk.
 
@@ -47,19 +47,19 @@ class WalkSpec:
     horizontal: np.ndarray
     vertical: np.ndarray
 
-    def __post_init__(self):
-        interior = np.array(self.interior, dtype=float)
-        horizontal = np.array(self.horizontal, dtype=float)
-        vertical = np.array(self.vertical, dtype=float)
+    def __init__(self, interior, horizontal, vertical):
+        interior = np.array(interior, dtype=float)
+        horizontal = np.array(horizontal, dtype=float)
+        vertical = np.array(vertical, dtype=float)
         if interior.shape != (3, 3):
             raise ValueError(f"interior must be 3x3, got {interior.shape}")
         if horizontal.shape != (3,) or vertical.shape != (3,):
             raise ValueError("axis step arrays must have length 3")
-        for arr in (interior, horizontal, vertical):
-            arr.flags.writeable = False
-        object.__setattr__(self, "interior", interior)
-        object.__setattr__(self, "horizontal", horizontal)
-        object.__setattr__(self, "vertical", vertical)
+        for name, arr in (
+            ("interior", interior), ("horizontal", horizontal), ("vertical", vertical)
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def p(self, s: int, t: int) -> float:
         """Interior step probability for step ``(s, t)``."""

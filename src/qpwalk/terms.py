@@ -11,6 +11,8 @@ structural conditions any genuinely infinite sum of geometrics must meet.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -24,6 +26,32 @@ COUPLE_TOL = 1e-9  # relative tolerance for two coordinates counting as equal
 
 def _close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(abs(a), abs(b))
+
+
+class _RhoIndex:
+    """Items kept sorted by a rho, found by a window around another rho.
+
+    For positive values ``_close(a, b, tol)`` bounds b to
+    ``[a (1 - tol), a / (1 - tol)]``; ``near`` returns every item whose
+    rho lies in that window widened by a relative 1e-12, so rounding
+    cannot drop one, and callers apply ``_close`` to what it returns.
+    """
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.rhos: list[float] = []
+        self.items: list = []
+
+    def add(self, rho: float, item) -> None:
+        k = bisect_right(self.rhos, rho)
+        self.rhos.insert(k, rho)
+        self.items.insert(k, item)
+
+    def near(self, rho: float) -> list:
+        slack = 1.0 + 1e-12
+        lo = rho * (1.0 - self.tol) / slack
+        hi = rho / (1.0 - self.tol) * slack if self.tol < 1.0 else math.inf
+        return self.items[bisect_left(self.rhos, lo) : bisect_right(self.rhos, hi)]
 
 
 @dataclass(frozen=True)
@@ -49,9 +77,62 @@ class WeightedTerm:
         return cls(float(data["rho"]), float(data["sigma"]), float(data.get("alpha", 1.0)))
 
 
+def _term_sum(terms: Sequence[WeightedTerm], i, j):
+    """``sum_k alpha_k rho_k^i sigma_k^j`` on (arrays of) lattice points.
+
+    Every term is evaluated in one broadcast; the rows are then added in
+    term order, as repeated ``+=`` would add them (``np.sum`` would pair
+    them and round differently).
+    """
+    i = np.asarray(i)
+    j = np.asarray(j)
+    shape = (-1,) + (1,) * max(i.ndim, j.ndim)
+    alpha, rho, sigma = (
+        np.array(v, dtype=float).reshape(shape)
+        for v in zip(*((t.alpha, t.rho, t.sigma) for t in terms))
+    )
+    rows = alpha * rho**i * sigma**j
+    total = np.zeros(rows.shape[1:])
+    for row in rows:
+        total += row
+    return total
+
+
+def _merge_terms(terms: Iterable[WeightedTerm]) -> list:
+    """Terms with coordinates within ``COUPLE_TOL`` of an earlier term's
+    folded into it, coefficients added, in order of first appearance.
+
+    A term joins the earliest kept term whose rho and sigma are both close
+    to its own; terms whose coefficients cancel exactly are dropped.
+    """
+    tol = COUPLE_TOL
+    merged: list[WeightedTerm] = []
+    index = _RhoIndex(tol)
+    for t in terms:
+        hits = [
+            k for k in index.near(t.rho)
+            if _close(merged[k].rho, t.rho, tol) and _close(merged[k].sigma, t.sigma, tol)
+        ]
+        if hits:
+            k = min(hits)
+            seen = merged[k]
+            merged[k] = WeightedTerm(seen.rho, seen.sigma, seen.alpha + t.alpha)
+        else:
+            index.add(t.rho, len(merged))
+            merged.append(t)
+    return [t for t in merged if t.alpha != 0.0]
+
+
 @dataclass(frozen=True)
 class GammaSet:
-    """A finite collection of weighted terms with a coupling tolerance."""
+    """A finite collection of weighted terms with a coupling tolerance.
+
+    Coordinates must be positive, coefficients nonzero, and no two terms
+    may agree in both coordinates to within ``tol``.  The duplicate check
+    bisects a rho-sorted index of the earlier terms instead of scanning
+    them all, and rejects exactly the sets such a scan would, at the same
+    term and with the same message.
+    """
 
     terms: tuple[WeightedTerm, ...]
     tol: float = COUPLE_TOL
@@ -60,16 +141,16 @@ class GammaSet:
         terms = tuple(terms)
         if not terms:
             raise EmptyComponent("a term set needs at least one term")
-        seen: list[tuple[float, float]] = []
+        seen = _RhoIndex(tol)
         for t in terms:
             if not (t.rho > 0.0 and t.sigma > 0.0):
                 raise ValueError(f"nonpositive coordinates ({t.rho}, {t.sigma})")
             if t.alpha == 0.0:
                 raise ValueError(f"zero coefficient at ({t.rho}, {t.sigma})")
-            for r, s in seen:
+            for r, s in seen.near(t.rho):
                 if _close(t.rho, r, tol) and _close(t.sigma, s, tol):
                     raise ValueError(f"duplicate coordinates ({t.rho}, {t.sigma})")
-            seen.append((t.rho, t.sigma))
+            seen.add(t.rho, (t.rho, t.sigma))
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "tol", tol)
 
@@ -80,12 +161,8 @@ class GammaSet:
         return iter(self.terms)
 
     def value(self, i, j):
-        """Evaluate the sum on (arrays of) lattice points."""
-        i = np.asarray(i)
-        j = np.asarray(j)
-        total = np.zeros(np.broadcast(i, j).shape)
-        for t in self.terms:
-            total += t.value(i, j)
+        """Evaluate the sum on (arrays of) lattice points; see ``_term_sum``."""
+        total = _term_sum(self.terms, i, j)
         return total if total.shape else float(total)
 
     def norm(self) -> float:
@@ -135,8 +212,9 @@ class PartitionResult:
         }
 
 
-def _merge_classes(n: int, linked) -> tuple[tuple[int, ...], ...]:
-    """Partition {0..n-1} into classes generated by the ``linked`` relation."""
+def _merge_classes(n: int, links) -> tuple[tuple[int, ...], ...]:
+    """Partition {0..n-1} into the classes that the ``links`` pairs generate,
+    each class ascending and the classes ordered by their least member."""
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -145,16 +223,25 @@ def _merge_classes(n: int, linked) -> tuple[tuple[int, ...], ...]:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if linked(i, j):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    for i, j in links:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return tuple(tuple(g) for _, g in sorted(groups.items()))
+
+
+def _neighbour_links(values: Sequence[float], tol: float) -> list[tuple[int, int]]:
+    """Pairs of indexes adjacent in sorted order whose values are close.
+
+    For positive a <= b <= c, ``_close(a, c)`` implies ``_close(a, b)`` and
+    ``_close(b, c)``, so these pairs generate the same classes as all close
+    pairs do.
+    """
+    order = sorted(range(len(values)), key=values.__getitem__)
+    return [(i, j) for i, j in zip(order, order[1:]) if _close(values[i], values[j], tol)]
 
 
 def maximal_partitions(g: GammaSet) -> PartitionResult:
@@ -166,20 +253,13 @@ def maximal_partitions(g: GammaSet) -> PartitionResult:
     closure classes, and the classes themselves are valid.  Maximal part
     count therefore means exactly these classes.
     """
-    terms = g.terms
-    tol = g.tol
-    n = len(terms)
-
-    def same_rho(i: int, j: int) -> bool:
-        return _close(terms[i].rho, terms[j].rho, tol)
-
-    def same_sigma(i: int, j: int) -> bool:
-        return _close(terms[i].sigma, terms[j].sigma, tol)
-
+    n = len(g.terms)
+    same_rho = _neighbour_links([t.rho for t in g.terms], g.tol)
+    same_sigma = _neighbour_links([t.sigma for t in g.terms], g.tol)
     return PartitionResult(
         h_groups=_merge_classes(n, same_rho),
         v_groups=_merge_classes(n, same_sigma),
-        g_groups=_merge_classes(n, lambda i, j: same_rho(i, j) or same_sigma(i, j)),
+        g_groups=_merge_classes(n, same_rho + same_sigma),
     )
 
 
@@ -329,7 +409,8 @@ def necessary_conditions(
     With ``claims_infinite`` false only the first two apply; the others
     report None.
     """
-    from .compensation import companion_v_status
+    from .compensation import _companion_v
+    from .curve import KernelPoly, kernel
 
     curve_report = check_on_curve(g, spec)
     witnesses: dict = {
@@ -345,11 +426,12 @@ def necessary_conditions(
     extendable: Optional[bool] = None
     if on_curve and in_u:
         blocked = []
-        spec_t = spec.transpose()
+        ker = kernel(spec)
+        ker_t = KernelPoly(ker.c.T)  # the kernel of the transposed walk
         for idx, t in enumerate(g.terms):
-            # companion_h_status with the transpose hoisted out of the loop
-            h_st = companion_v_status(t.transpose(), spec_t)
-            v_st = companion_v_status(t, spec)
+            # companion_h_status and companion_v_status, kernels hoisted
+            h_st = _companion_v(t.transpose(), ker_t)
+            v_st = _companion_v(t, ker)
             if h_st.term is None and v_st.term is None:
                 blocked.append({"index": idx, "h": h_st.status, "v": v_st.status})
         witnesses["blocked"] = blocked
