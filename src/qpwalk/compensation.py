@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -77,19 +77,26 @@ def t_value(term: TermLike, spec: WalkSpec) -> float:
     A weighted pair sharing rho balances the horizontal axis exactly when
     the T-weighted coefficients cancel; see coefficient_ratio_h.
     """
-    rho, sigma = _coords(term)
-    if not rho > 0.0:
-        raise ValueError(
-            f"t_value needs rho > 0 (sigma > 0 in the vertical form), got {rho}"
-        )
-    south = sum(rho ** (-s) * spec.p(s, -1) for s in OFFSETS)
+    return _t_function(spec)(term)
+
+
+def _t_function(spec: WalkSpec) -> Callable[[TermLike], float]:
+    """t_value for one walk, with its step constants read once: the two
+    horizontal axis steps, the north mass and the three south steps."""
+    east, west = spec.h(1), spec.h(-1)
     north = sum(spec.p(s, 1) for s in OFFSETS)
-    return (
-        (1.0 - 1.0 / rho) * spec.h(1)
-        + (1.0 - rho) * spec.h(-1)
-        + north
-        - sigma * south
-    )
+    south_steps = [(s, spec.p(s, -1)) for s in OFFSETS]
+
+    def t(term: TermLike) -> float:
+        rho, sigma = _coords(term)
+        if not rho > 0.0:
+            raise ValueError(
+                f"t_value needs rho > 0 (sigma > 0 in the vertical form), got {rho}"
+            )
+        south = sum(rho ** (-s) * p for s, p in south_steps)
+        return (1.0 - 1.0 / rho) * east + (1.0 - rho) * west + north - sigma * south
+
+    return t
 
 
 def t_value_vertical(term: TermLike, spec: WalkSpec) -> float:
@@ -201,6 +208,13 @@ def coefficient_ratio_h(
     A zero numerator means the first term balances the axis alone and the
     companion is not needed; the ratio is then 0.
     """
+    return _coefficient_ratio(pair, _t_function(spec))
+
+
+def _coefficient_ratio(
+    pair: Sequence[TermLike], t: Callable[[TermLike], float]
+) -> float:
+    """coefficient_ratio_h with the walk's T already built."""
     t1, t2 = pair
     r1, _ = _coords(t1)
     r2, _ = _coords(t2)
@@ -208,7 +222,7 @@ def coefficient_ratio_h(
         raise MixedGroup(
             f"pair does not share rho (sigma in the vertical form): {r1} vs {r2}"
         )
-    return _ratio(t_value(t1, spec), t_value(t2, spec))
+    return _ratio(t(t1), t(t2))
 
 
 def coefficient_ratio_v(
@@ -327,11 +341,16 @@ def build_series(
     # repair the horizontal one: companion_v keeps rho and the H-ratio
     # cancels bh_sum of the new pair.  The V-coupled step is the same step
     # in the transposed walk, reached by transposing the term on the way in
-    # and out.  Each frame's kernel is built once here; the transposed
-    # walk's kernel is the transpose of this one.
+    # and out.  Each frame's kernel and T are built once here; the
+    # transposed walk's kernel is the transpose of this one.
     frames = (
-        (spec, ker, "H-coupled", lambda t: t),
-        (spec.transpose(), KernelPoly(ker.c.T), "V-coupled", WeightedTerm.transpose),
+        (_t_function(spec), ker, "H-coupled", lambda t: t),
+        (
+            _t_function(spec.transpose()),
+            KernelPoly(ker.c.T),
+            "V-coupled",
+            WeightedTerm.transpose,
+        ),
     )
     side = 0 if seeded == "V" else 1
     stopped = "max-terms"
@@ -339,12 +358,12 @@ def build_series(
 
     while len(terms) < max_terms:
         prev = terms[-1]
-        frame, frame_ker, link, mirror = frames[side]
+        frame_t, frame_ker, link, mirror = frames[side]
         status = _companion_v(mirror(prev), frame_ker)
         if status.term is None:
             stalled = status
             break
-        alpha = coefficient_ratio_h((mirror(prev), status.term), frame) * prev.alpha
+        alpha = _coefficient_ratio((mirror(prev), status.term), frame_t) * prev.alpha
         if alpha == 0.0:
             # The previous term already balanced the axis alone; nothing
             # further to compensate.

@@ -114,54 +114,125 @@ def _gth(W: np.ndarray) -> np.ndarray:
     return x / x.sum()
 
 
-def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:
-    """Componentwise-accurate stationary grid via level censoring.
+def _level_inverse(
+    D: Optional[np.ndarray], W: np.ndarray, U: Optional[np.ndarray]
+) -> np.ndarray:
+    """(I - W)^{-1} for the within block W of a level whose down and up
+    blocks are D and U (None where the level has none), subtraction-free.
 
-    Levels are the second coordinate.  Censoring eliminates levels from
-    the top down: the chain watched only below level j has transition
-    blocks W_{j-1} = A_within + R_j A_down, where
-    R_j = A_up (I - W_j)^{-1} is the rate matrix of the matrix-geometric
-    method (Neuts; Latouche-Ramaswami).  The level-0 censored chain is
-    solved by state reduction and the stationary mass is carried back up
-    by pi_j = pi_{j-1} R_j, a product of non-negative terms.  Unlike a
-    plain sparse solve of pi P = pi, small cells keep full relative
-    accuracy.
-
-    The way back up needs R_j at every level, but only every k-th one
-    (k = isqrt(n+1)) and the bottom segment are kept on the way down.
-    Each segment above is rebuilt from the R checkpoint over it when the
-    way back reaches it, by the same calls in the same order, so the grid
-    is the one that keeping all n matrices gives, bit for bit.  About
-    2 sqrt(n) matrices of (n+1)^2 doubles are alive at once, O(n^2.5)
-    memory, for one more solve per level.
+    The rows of [D W U] sum to one, so the diagonal of I - W is rebuilt
+    from the off-diagonal mass of W plus the mass that leaves the level,
+    never as 1 - W_ii.  Gaussian elimination without pivoting carries that
+    escape mass along: each pivot is the mass its row still sends
+    elsewhere, as in state reduction (Grassmann-Taksar-Heyman).  The two
+    triangular factors of the M-matrix I - W have non-negative inverses,
+    formed by substitution.  Every step adds, multiplies or divides
+    non-negative numbers, so each entry keeps full relative accuracy.
     """
-    N = n + 1
-    k = math.isqrt(N)
-    blocks = _level_blocks(spec, n)  # blocks[j]: down, within, up
+    A = np.array(W, dtype=float)  # its diagonal is never read
+    escape = sum(b.sum(axis=1) for b in (D, U) if b is not None)
+    m = A.shape[0]
+    pivot = np.empty(m)
+    for k in range(m):
+        pivot[k] = A[k, k + 1 :].sum() + escape[k]
+        A[k + 1 :, k] /= pivot[k]
+        A[k + 1 :, k + 1 :] += A[k + 1 :, k, None] * A[k, k + 1 :]
+        escape[k + 1 :] += A[k + 1 :, k] * escape[k]
+    # I - W = (I - L)(diag(pivot) - R), L and R the parts of A below and
+    # above its diagonal; invert each factor by substitution.
+    lower = np.eye(m)
+    for k in range(1, m):
+        lower[k, :k] = A[k, :k] @ lower[:k, :k]
+    upper = np.diag(1.0 / pivot)
+    for k in range(m - 2, -1, -1):
+        upper[k, k + 1 :] = A[k, k + 1 :] @ upper[k + 1 :, k + 1 :] / pivot[k]
+    return upper @ lower
 
-    def rate(j: int, W: np.ndarray) -> np.ndarray:
-        """R_j from W = W_j: solve the transposed system on A_up^T."""
-        return np.linalg.solve((np.eye(N) - W).T, blocks[j - 1][2].T).T
 
-    def censored(j: int, R: np.ndarray) -> np.ndarray:
-        """W_j from R = R_{j+1}."""
-        return blocks[j][1] + R @ blocks[j + 1][0]
+def _level_triples(spec: WalkSpec, n: int) -> list[tuple]:
+    """The level blocks as (down, within, up) triples, None where a level
+    has no such block, with equal blocks made one array: the bottom
+    level's up block and the top level's down block repeat the interior
+    ones, so products of theirs are formed once."""
+    blocks = _level_blocks(spec, n)
+    seen: list[np.ndarray] = []
 
-    R = rate(n, blocks[n][1])
-    Rs = {n: R}  # level -> R_j
-    for j in range(n - 1, 0, -1):
-        R = rate(j, censored(j, R))
-        if j % k == 0 or j < k:
-            Rs[j] = R
-    levels = np.zeros((N, N))  # levels[j][i] = pi(i, j), unnormalized
-    levels[0] = _gth(censored(0, Rs[1]))
-    for j in range(1, N):
-        if j not in Rs:  # rebuild this segment from the checkpoint above
-            top = min(j - j % k + k, n)
-            for i in range(top - 1, j - 1, -1):
-                Rs[i] = rate(i, censored(i, Rs[i + 1]))
-        levels[j] = levels[j - 1] @ Rs.pop(j)
-    grid = levels.T.copy()
+    def shared(block: np.ndarray) -> np.ndarray:
+        same = next((b for b in seen if np.array_equal(b, block)), None)
+        if same is None:
+            seen.append(same := block)
+        return same
+
+    kinds = {id(b): tuple(map(shared, b)) for b in blocks[:2] + blocks[-1:]}
+    return [
+        (D if j else None, W, U if j < n else None)
+        for j, (D, W, U) in enumerate(kinds[id(b)] for b in blocks)
+    ]
+
+
+def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:
+    """Componentwise-accurate stationary grid via cyclic reduction.
+
+    Levels are the second coordinate, and the chain is block tridiagonal
+    over them: level l moves down by D_l, within by W_l and up by U_l.
+    Each stage censors the chain on its even levels (Bini-Meini cyclic
+    reduction).  Odd level l is eliminated through X_l = (I - W_l)^{-1},
+    and even level e gets the blocks
+    W_e + D_e X_{e-1} U_{e-1} + U_e X_{e+1} D_{e+1},
+    D_e X_{e-1} D_{e-1} and U_e X_{e+1} U_{e+1}.  Stages halve the level
+    count until one level is left, solved by state reduction; the way
+    back is pi_l = pi_{l-1} (U_{l-1} X_l) + pi_{l+1} (D_{l+1} X_l), with
+    both products kept from the way down.  No step subtracts (see
+    _level_inverse), so small cells keep full relative accuracy.
+
+    The interior levels share one block triple (see _level_triples), so
+    inside a stage each product is formed once per distinct operand,
+    memoized by array identity.  A solve does O(log n) inversions, a
+    handful per stage, and keeps O(n^2 log n) memory: a few (n+1)^2
+    products per stage.
+    """
+    levels = _level_triples(spec, n)
+    stages = []  # per stage, (U_{l-1} X_l, D_{l+1} X_l) for each odd l
+    memo: dict = {}
+
+    def once(f, *args):
+        key = (f, *map(id, args))
+        if key not in memo:
+            memo[key] = f(*args)
+        return memo[key]
+
+    while len(levels) > 1:
+        L = len(levels)
+        into = []
+        for l in range(1, L, 2):
+            X = once(_level_inverse, *levels[l])
+            into.append((
+                once(np.matmul, levels[l - 1][2], X),
+                once(np.matmul, levels[l + 1][0], X) if l + 1 < L else None,
+            ))
+        kept = []
+        for e in range(0, L, 2):
+            D, W, U = levels[e]
+            if e > 0:
+                down = into[e // 2 - 1][1]
+                W = once(np.add, W, once(np.matmul, down, levels[e - 1][2]))
+                D = once(np.matmul, down, levels[e - 1][0])
+            if e + 1 < L:
+                up, above = into[e // 2][0], levels[e + 1]
+                W = once(np.add, W, once(np.matmul, up, above[0]))
+                U = None if above[2] is None else once(np.matmul, up, above[2])
+            kept.append((D, W, U))
+        stages.append(into)
+        levels = kept
+        memo.clear()  # frees this stage's scratch products; ids may recur
+    pi = [_gth(levels[0][1])]  # pi[l][i] = pi(i, l), unnormalized
+    for into in reversed(stages):
+        full = []
+        for i, (up, down) in enumerate(into):
+            below = pi[i] @ up
+            full += [pi[i], below if down is None else below + pi[i + 1] @ down]
+        pi = full + pi[len(into) :]
+    grid = np.array(pi).T.copy()
     return grid / grid.sum()
 
 
@@ -189,9 +260,9 @@ def truncated_stationary(
 ) -> LatticeWindow:
     """Stationary distribution of the truncated walk.
 
-    Methods: "direct" (censored elimination in matrix-geometric form,
-    componentwise accurate, numpy only, O(n^2.5) memory through
-    checkpointed rate matrices), "power" (iterated sparse transition
+    Methods: "direct" (cyclic reduction over the levels, O(log n)
+    subtraction-free block inversions, componentwise accurate, numpy
+    only, O(n^2 log n) memory), "power" (iterated sparse transition
     operator to a 1e-13 successive change, kept as an independent
     reference, the only method that loads scipy), or "auto", which is
     direct at every n.

@@ -1,10 +1,13 @@
 """Reference implementations for ``qpwalk.oracle``'s direct solve.
 
-``keep_all_censored`` is the same level censoring in matrix-geometric
-form, holding the rate matrix R_j of every level from the way down to the
-way back up: n matrices of (n+1)^2 doubles, a 36 MB peak at n=160.  The
-shipped solve keeps only checkpoints and rebuilds the rest by the same
-calls in the same order, so the two grids must agree bit for bit.
+``keep_all_censored`` censors the levels from the top down in
+matrix-geometric form, holding the rate matrix R_j of every level from
+the way down to the way back up: n matrices of (n+1)^2 doubles, a 36 MB
+peak at n=160.  It shares only the level blocks and ``_gth`` with the
+shipped cyclic reduction, so it is an independent check, to rounding.
+Its rate matrices come from LAPACK solves, which subtract, so on
+drifting walks its smallest cells lose relative accuracy that the
+reduction keeps.
 
 ``loop_gth`` is state reduction with its rank-1 update written as a loop
 over columns, the form the shipped vectorized ``_gth`` must match byte

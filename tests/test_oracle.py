@@ -14,6 +14,7 @@ from qpwalk.oracle import transition_matrix
 
 from conftest import PRESET_NAMES, product_form_walk, random_walk
 from keep_all_censored import censor_all, keep_all_censored, loop_gth
+from plain_reduction import plain_reduction
 
 
 # --- transition matrix ---
@@ -124,14 +125,51 @@ def _bit_identity_walks():
     return walks + [("forced", random_walk(rng, forced=True)), ("free", random_walk(rng))]
 
 
-# n + 1 a perfect square (15, 24, 80) or not (8, 9, 30, 100): the checkpoint
-# spacing isqrt(n + 1) divides the levels evenly or leaves a short top segment.
+def _one_step_residual(spec, n, grid):
+    """Largest componentwise |pi P - pi| / pi over cells above the floor."""
+    pi = grid.ravel()
+    flow = pi @ transition_matrix(spec, n)
+    big = pi >= oracle_mod.MASS_FLOOR
+    return float((np.abs(flow[big] - pi[big]) / pi[big]).max())
+
+
+# The shipped solve forms each product once per distinct operand; the plain
+# reduction forms every level's own.  An even n keeps the top level at the
+# first stage and an odd n (9, 15) eliminates it there.  The name is kept
+# from the checkpointed solve that this byte check guarded before.
 @pytest.mark.parametrize("n", [8, 9, 15, 24, 30, 80, 100])
 def test_checkpointed_solve_is_bit_identical_to_keep_all(n):
     for name, spec in _bit_identity_walks():
         got = oracle_mod._direct_censored(spec, n)
-        want = keep_all_censored(spec, n)
+        want = plain_reduction(spec, n)
         assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("n", [8, 30, 80])
+def test_reduction_agrees_with_rate_matrix_form(n):
+    for name in PRESET_NAMES:
+        spec = q.presets.load(name)
+        got = oracle_mod._direct_censored(spec, n)
+        want = keep_all_censored(spec, n)
+        big = want >= oracle_mod.MASS_FLOOR
+        assert (np.abs(got[big] - want[big]) / want[big]).max() <= 1e-12, name
+        assert ((got == 0.0) == (want == 0.0)).all(), name
+        assert got.min() >= 0.0, name
+
+
+def _forced_draws(*indices):
+    rng = np.random.default_rng(2024)
+    draws = [random_walk(rng, forced=True) for _ in range(max(indices) + 1)]
+    return [(f"forced {i}", draws[i]) for i in indices]
+
+
+@pytest.mark.parametrize("n", [30, 80])
+def test_reduction_one_step_residual_is_componentwise(n):
+    # keep_all_censored reads up to 2.8e-5 here (forced draw 16, n = 30).
+    walks = [(name, q.presets.load(name)) for name in PRESET_NAMES]
+    for name, spec in walks + _forced_draws(16, 20, 28, 30):
+        grid = oracle_mod._direct_censored(spec, n)
+        assert _one_step_residual(spec, n, grid) <= 1e-14, name
 
 
 @pytest.mark.parametrize("n", [8, 30, 80])
@@ -151,8 +189,8 @@ def test_gth_matches_loop_on_random_stochastic_matrices():
 
 
 def test_direct_solve_memory_stays_checkpointed(switch):
-    # Keeping all n rate matrices peaks at 36 MB here; the checkpointed
-    # solve measured 8.0 MB (numpy 2.4, no scipy).
+    # Keeping all n rate matrices peaks at 36 MB here; cyclic reduction,
+    # which keeps a few products per halving, measured 6.0 MB (numpy 2.4).
     tracemalloc.start()
     try:
         q.truncated_stationary(switch, 160, method="direct")
@@ -178,13 +216,15 @@ def test_auto_is_direct_at_every_n(switch, monkeypatch):
 @pytest.mark.parametrize("n", [13, 30])
 def test_default_method_solves_where_power_stalls(n):
     # The 29th forced draw of this generator (drift -0.52, -0.45): power
-    # iteration raises NotConverged after 200,000 iterations at n = 13 and 30.
-    rng = np.random.default_rng(2024)
-    spec = [random_walk(rng, forced=True) for _ in range(29)][-1]
-    pi = q.truncated_stationary(spec, n).values.ravel()
+    # iteration raises NotConverged after 200,000 iterations at n = 13 and 30,
+    # and the rate-matrix form's one-step residual reads 1.4e-10 at n = 30.
+    [(_, spec)] = _forced_draws(28)
+    grid = q.truncated_stationary(spec, n).values
+    pi = grid.ravel()
     assert np.isfinite(pi).all() and pi.min() >= 0.0
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.abs(pi @ transition_matrix(spec, n) - pi).max() <= 1e-13
+    assert _one_step_residual(spec, n, grid) <= 1e-14
 
 
 def test_power_iteration_cap_raises(monkeypatch):
