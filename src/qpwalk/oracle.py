@@ -114,24 +114,59 @@ def _gth(W: np.ndarray) -> np.ndarray:
     return x / x.sum()
 
 
+# Largest block _escape_inverse eliminates column by column; larger ones
+# it splits in two.  The sweep in BENCH_level_inverse.json is flat from 16
+# to 64 rows within the host's noise; at 32, N = 161 splits three times.
+_LEAF = 32
+
+
 def _level_inverse(
     D: Optional[np.ndarray], W: np.ndarray, U: Optional[np.ndarray]
 ) -> np.ndarray:
     """(I - W)^{-1} for the within block W of a level whose down and up
     blocks are D and U (None where the level has none), subtraction-free.
 
-    The rows of [D W U] sum to one, so the diagonal of I - W is rebuilt
-    from the off-diagonal mass of W plus the mass that leaves the level,
-    never as 1 - W_ii.  Gaussian elimination without pivoting carries that
-    escape mass along: each pivot is the mass its row still sends
-    elsewhere, as in state reduction (Grassmann-Taksar-Heyman).  The two
-    triangular factors of the M-matrix I - W have non-negative inverses,
-    formed by substitution.  Every step adds, multiplies or divides
-    non-negative numbers, so each entry keeps full relative accuracy.
+    The rows of [D W U] sum to one, so the diagonal of I - W is the
+    off-diagonal mass of W plus the escape mass D1 + U1 that leaves the
+    level, never 1 - W_ii; see _escape_inverse.
     """
-    A = np.array(W, dtype=float)  # its diagonal is never read
     escape = sum(b.sum(axis=1) for b in (D, U) if b is not None)
-    m = A.shape[0]
+    return _escape_inverse(W, escape)
+
+
+def _escape_inverse(W: np.ndarray, escape: np.ndarray) -> np.ndarray:
+    """(I - W)^{-1} where row i of I - W sums to escape[i]: the diagonal is
+    the off-diagonal mass of row i of W plus escape[i], and W's own
+    diagonal is never read.
+
+    A block of more than _LEAF rows is split in two, W = [W11 W12; W21 W22],
+    and inverted by its Schur complement.  Block 1 is inverted with escape
+    e1 + W12 1, since mass into block 2 leaves block 1.  The complement
+    S = W22 + W21 X11 W12 gets escape e2 + W21 X11 e1, the mass that leaves
+    through block 1; with Y its inverse, X = [X11 + X11 W12 Y W21 X11,
+    X11 W12 Y; Y W21 X11, Y].  A smaller block is eliminated without
+    pivoting, carrying the escape mass along: each pivot is the mass its
+    row still sends elsewhere, as in state reduction (Grassmann-Taksar-
+    Heyman), and the two non-negative triangular factors of the M-matrix
+    I - W are inverted by substitution.  Every step adds, multiplies or
+    divides non-negative numbers, so each entry keeps full relative
+    accuracy.
+    """
+    m = W.shape[0]
+    if m > _LEAF:
+        h = m // 2
+        W12, W21 = W[:h, h:], W[h:, :h]
+        X11 = _escape_inverse(W[:h, :h], escape[:h] + W12.sum(axis=1))
+        P, Q = X11 @ W12, W21 @ X11
+        Y = _escape_inverse(W[h:, h:] + W21 @ P, escape[h:] + Q @ escape[:h])
+        X = np.empty((m, m))
+        X[:h, h:] = PY = P @ Y
+        X[:h, :h] = X11 + PY @ Q
+        X[h:, :h] = Y @ Q
+        X[h:, h:] = Y
+        return X
+    A = np.array(W, dtype=float)  # its diagonal is never read
+    escape = np.array(escape, dtype=float)
     pivot = np.empty(m)
     for k in range(m):
         pivot[k] = A[k, k + 1 :].sum() + escape[k]
@@ -189,7 +224,10 @@ def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:
     inside a stage each product is formed once per distinct operand,
     memoized by array identity.  A solve does O(log n) inversions, a
     handful per stage, and keeps O(n^2 log n) memory: a few (n+1)^2
-    products per stage.
+    products per stage.  Each inversion splits its block in halves down
+    to blocks of at most _LEAF rows (three levels at n = 160), so most
+    of its arithmetic runs in matrix products rather than one Python
+    step per column.
     """
     levels = _level_triples(spec, n)
     stages = []  # per stage, (U_{l-1} X_l, D_{l+1} X_l) for each odd l

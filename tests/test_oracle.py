@@ -14,6 +14,7 @@ from qpwalk.oracle import transition_matrix
 
 from conftest import PRESET_NAMES, product_form_walk, random_walk
 from keep_all_censored import censor_all, keep_all_censored, loop_gth
+from loop_level_inverse import loop_level_inverse
 from plain_reduction import plain_reduction
 
 
@@ -163,7 +164,8 @@ def _forced_draws(*indices):
     return [(f"forced {i}", draws[i]) for i in indices]
 
 
-@pytest.mark.parametrize("n", [30, 80])
+# At n = 160 each inversion runs three levels of the blocked recursion.
+@pytest.mark.parametrize("n", [30, 80, 160])
 def test_reduction_one_step_residual_is_componentwise(n):
     # keep_all_censored reads up to 2.8e-5 here (forced draw 16, n = 30).
     walks = [(name, q.presets.load(name)) for name in PRESET_NAMES]
@@ -186,6 +188,69 @@ def test_gth_matches_loop_on_random_stochastic_matrices():
         W = 10.0 ** rng.uniform(-30, 0, (m, m))
         W /= W.sum(axis=1, keepdims=True)
         assert oracle_mod._gth(W).tobytes() == loop_gth(W).tobytes(), m
+
+
+# The blocked inverse against the column-by-column one: measured up to
+# 6.1e-15 on the random blocks (30 generators) and 1.8e-14 on the preset
+# blocks at n = 160 (fig2b), with numpy 2.4.
+LEVEL_INVERSE_AGREEMENT = 5e-14
+
+
+def _assert_inverse_agrees(D, W, U, label):
+    got = oracle_mod._level_inverse(D, W, U)
+    want = loop_level_inverse(D, W, U)
+    if W.shape[0] <= oracle_mod._LEAF:  # a leaf is the reference loop
+        assert got.tobytes() == want.tobytes(), label
+    assert got.min() >= 0.0 and ((got == 0.0) == (want == 0.0)).all(), label
+    big = want > 0.0
+    error = np.abs(got[big] - want[big]) / want[big]
+    assert error.max() <= LEVEL_INVERSE_AGREEMENT, label
+
+
+def _substochastic(D, W, U):
+    total = (D.sum(axis=1) + W.sum(axis=1) + U.sum(axis=1))[:, None]
+    return D / total, W / total, U / total
+
+
+def test_level_inverse_matches_loop_on_random_blocks():
+    leaf = oracle_mod._LEAF
+    rng = np.random.default_rng(75)
+    for m in (1, 2, leaf - 1, leaf, leaf + 1, 2 * leaf + 1, 161, 321):
+        # Entries over 30 orders of magnitude, as in censored blocks; about
+        # half the rows have no escape of their own.
+        D, W, U = (10.0 ** rng.uniform(-30, 0, (m, m)) for _ in range(3))
+        closed = rng.random(m) < 0.5
+        closed[rng.integers(m)] = False
+        D[closed] = U[closed] = 0.0
+        _assert_inverse_agrees(*_substochastic(D, W, U), f"dense {m}")
+        if m == 1:
+            continue
+        # A path whose only escape is at its last state, so every other row
+        # reaches it through the rows between.
+        W = np.diag(10.0 ** rng.uniform(-1, 0, m - 1), 1)
+        W += np.diag(10.0 ** rng.uniform(-1, 0, m - 1), -1)
+        D, U = np.zeros((m, m)), np.zeros((m, m))
+        U[-1, -1] = 10.0 ** rng.uniform(-30, 0)
+        _assert_inverse_agrees(*_substochastic(D, W, U), f"path {m}")
+
+
+def test_level_inverse_matches_loop_on_preset_blocks(monkeypatch):
+    # Every block the n = 160 solve inverts: the interior level's, then the
+    # reduced ones of each stage.
+    inverted = []
+    shipped = oracle_mod._level_inverse
+
+    def record(*triple):
+        inverted.append(triple)
+        return shipped(*triple)
+
+    monkeypatch.setattr(oracle_mod, "_level_inverse", record)
+    for name in PRESET_NAMES:
+        oracle_mod._direct_censored(q.presets.load(name), 160)
+    monkeypatch.undo()
+    assert len(inverted) == 9 * len(PRESET_NAMES)
+    for i, (D, W, U) in enumerate(inverted):
+        _assert_inverse_agrees(D, W, U, f"{PRESET_NAMES[i // 9]} inversion {i % 9}")
 
 
 def test_direct_solve_memory_stays_checkpointed(switch):
