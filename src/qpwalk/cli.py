@@ -147,7 +147,7 @@ def _cmd_trace(args) -> int:
         _emit("\n".join(lines) + "\n", args.output)
     else:
         doc = {
-            "points": [[float(x), float(y)] for x, y in trace.points],
+            "points": trace.points.tolist(),
             "arcs": list(trace.arcs),
             "branch_points": trace.report.to_dict(),
         }

@@ -478,8 +478,7 @@ class QPlusTrace:
     report: BranchPointReport
 
     def arc_points(self, name: str) -> np.ndarray:
-        mask = np.array([a == name for a in self.arcs])
-        return self.points[mask]
+        return self.points[np.asarray(self.arcs) == name]
 
 
 def _trace_grid(x_l: float, x_r: float, n_points: int) -> np.ndarray:
@@ -538,17 +537,16 @@ def trace_qplus(spec: WalkSpec, n_points: int = 2048) -> QPlusTrace:
     x_b = report.corners[1][0]
     x_t = report.corners[3][0]
 
-    pts: list[tuple[float, float]] = []
-    arcs: list[str] = []
-    for x, y in zip(xs[ok_low], lower[ok_low]):
-        pts.append((float(x), float(y)))
-        arcs.append("Q00" if x <= x_b else "Q10")
-    for x, y in zip(xs[ok_up][::-1], upper[ok_up][::-1]):
-        pts.append((float(x), float(y)))
-        arcs.append("Q11" if x >= x_t else "Q01")
-    if not pts:
+    x_low, x_up = xs[ok_low], xs[ok_up][::-1]
+    n_low = x_low.size
+    points = np.empty((n_low + x_up.size, 2))
+    if not len(points):
         raise EmptyComponent("all sampled points failed the on-curve residual")
-    return QPlusTrace(np.array(pts), tuple(arcs), report)
+    points[:n_low, 0], points[:n_low, 1] = x_low, lower[ok_low]
+    points[n_low:, 0], points[n_low:, 1] = x_up, upper[ok_up][::-1]
+    arcs = np.where(x_low <= x_b, "Q00", "Q10").tolist()
+    arcs += np.where(x_up >= x_t, "Q11", "Q01").tolist()
+    return QPlusTrace(points, tuple(arcs), report)
 
 
 def detect_singularity(spec: WalkSpec) -> Optional[tuple[float, float]]:

@@ -120,6 +120,27 @@ def _gth(W: np.ndarray) -> np.ndarray:
 _LEAF = 32
 
 
+def _blocked_gth(W: np.ndarray) -> np.ndarray:
+    """Stationary vector of a dense stochastic matrix, subtraction-free,
+    with _gth run only on blocks of at most _LEAF rows.
+
+    A larger W = [W11 W12; W21 W22] is censored on its first half: with
+    Y = (I - W22)^{-1}, whose escape is W21 1 since the rows of W sum to
+    one, and P = W12 Y, block 1 alone moves by W11 + P W21, and
+    pi = [pi1, pi1 P] for pi1 that matrix's stationary vector.  GTH never
+    reads its diagonal, so the rounding there does not matter.
+    """
+    m = W.shape[0]
+    if m <= _LEAF:
+        return _gth(W)
+    h = m // 2
+    W12, W21 = W[:h, h:], W[h:, :h]
+    P = W12 @ _escape_inverse(W[h:, h:], W21.sum(axis=1))
+    pi1 = _blocked_gth(W[:h, :h] + P @ W21)
+    x = np.concatenate([pi1, pi1 @ P])
+    return x / x.sum()
+
+
 def _level_inverse(
     D: Optional[np.ndarray], W: np.ndarray, U: Optional[np.ndarray]
 ) -> np.ndarray:
@@ -165,22 +186,25 @@ def _escape_inverse(W: np.ndarray, escape: np.ndarray) -> np.ndarray:
         X[h:, :h] = Y @ Q
         X[h:, h:] = Y
         return X
-    A = np.array(W, dtype=float)  # its diagonal is never read
-    escape = np.array(escape, dtype=float)
+    # Column m carries the escape, so one rank-1 update moves both; W's
+    # diagonal is never read.
+    A = np.empty((m, m + 1))
+    A[:, :m], A[:, m] = W, escape
     pivot = np.empty(m)
     for k in range(m):
-        pivot[k] = A[k, k + 1 :].sum() + escape[k]
+        pivot[k] = A[k, k + 1 : m].sum() + A[k, m]
         A[k + 1 :, k] /= pivot[k]
         A[k + 1 :, k + 1 :] += A[k + 1 :, k, None] * A[k, k + 1 :]
-        escape[k + 1 :] += A[k + 1 :, k] * escape[k]
     # I - W = (I - L)(diag(pivot) - R), L and R the parts of A below and
     # above its diagonal; invert each factor by substitution.
     lower = np.eye(m)
     for k in range(1, m):
-        lower[k, :k] = A[k, :k] @ lower[:k, :k]
+        np.dot(A[k, :k], lower[:k, :k], out=lower[k, :k])
     upper = np.diag(1.0 / pivot)
     for k in range(m - 2, -1, -1):
-        upper[k, k + 1 :] = A[k, k + 1 :] @ upper[k + 1 :, k + 1 :] / pivot[k]
+        row = upper[k, k + 1 :]
+        np.dot(A[k, k + 1 : m], upper[k + 1 :, k + 1 :], out=row)
+        row /= pivot[k]
     return upper @ lower
 
 
@@ -215,9 +239,10 @@ def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:
     and even level e gets the blocks
     W_e + D_e X_{e-1} U_{e-1} + U_e X_{e+1} D_{e+1},
     D_e X_{e-1} D_{e-1} and U_e X_{e+1} U_{e+1}.  Stages halve the level
-    count until one level is left, solved by state reduction; the way
-    back is pi_l = pi_{l-1} (U_{l-1} X_l) + pi_{l+1} (D_{l+1} X_l), with
-    both products kept from the way down.  No step subtracts (see
+    count until one level is left, solved by blocked state reduction
+    (_blocked_gth).  The way back is
+    pi_l = pi_{l-1} (U_{l-1} X_l) + pi_{l+1} (D_{l+1} X_l), with both
+    products kept from the way down.  No step subtracts (see
     _level_inverse), so small cells keep full relative accuracy.
 
     The interior levels share one block triple (see _level_triples), so
@@ -225,9 +250,9 @@ def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:
     memoized by array identity.  A solve does O(log n) inversions, a
     handful per stage, and keeps O(n^2 log n) memory: a few (n+1)^2
     products per stage.  Each inversion splits its block in halves down
-    to blocks of at most _LEAF rows (three levels at n = 160), so most
-    of its arithmetic runs in matrix products rather than one Python
-    step per column.
+    to blocks of at most _LEAF rows (three levels at n = 160), and so
+    does the last level's state reduction, so most of the arithmetic
+    runs in matrix products rather than one Python step per column.
     """
     levels = _level_triples(spec, n)
     stages = []  # per stage, (U_{l-1} X_l, D_{l+1} X_l) for each odd l
@@ -263,7 +288,7 @@ def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:
         stages.append(into)
         levels = kept
         memo.clear()  # frees this stage's scratch products; ids may recur
-    pi = [_gth(levels[0][1])]  # pi[l][i] = pi(i, l), unnormalized
+    pi = [_blocked_gth(levels[0][1])]  # pi[l][i] = pi(i, l), unnormalized
     for into in reversed(stages):
         full = []
         for i, (up, down) in enumerate(into):

@@ -9,7 +9,7 @@ calls in the same order, so the two grids must agree bit for bit.
 
 import numpy as np
 
-from qpwalk.oracle import _gth, _level_blocks, _level_inverse
+from qpwalk.oracle import _blocked_gth, _level_blocks, _level_inverse
 
 
 def plain_reduction(spec, n: int) -> np.ndarray:
@@ -41,7 +41,7 @@ def plain_reduction(spec, n: int) -> np.ndarray:
             kept.append((D, W, U))
         stages.append(into)
         levels = kept
-    pi = [_gth(levels[0][1])]
+    pi = [_blocked_gth(levels[0][1])]
     for into in reversed(stages):
         full = []
         for i, (up, down) in enumerate(into):

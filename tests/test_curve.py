@@ -20,7 +20,8 @@ from qpwalk.curve import (
 )
 from qpwalk.errors import ComplexRoots, EmptyComponent, InconsistentSingularity
 
-from conftest import random_walk, product_form_walk
+from conftest import PRESET_NAMES, random_walk, product_form_walk
+from loop_trace import loop_trace
 
 
 # --- kernel polynomial ---
@@ -309,6 +310,38 @@ def test_trace_singular_walk_raises(fig2d):
     spec = q.WalkSpec(w, w[:, 0] + w[:, 1], w[1] + w[0])
     with pytest.raises(q.errors.SingularWalk):
         q.trace_qplus(spec, 256)
+
+
+def _trace_walks():
+    walks = [(name, q.presets.load(name)) for name in PRESET_NAMES]
+    rng = np.random.default_rng(33)
+    for i in range(4):
+        walks.append((f"eligible {i}", random_walk(rng, forced=True)))
+        walks.append((f"non-eligible {i}", random_walk(rng)))
+    return walks
+
+
+# The trace fills its rows with array operations; the reference appends one
+# point and one label per sample.
+@pytest.mark.parametrize("n_points", [64, 512, 2048, 4096])
+def test_trace_is_bit_identical_to_loop(n_points):
+    for name, spec in _trace_walks():
+        tr = q.trace_qplus(spec, n_points)
+        points, arcs = loop_trace(spec, n_points)
+        assert tr.points.dtype == np.float64 and tr.points.flags.c_contiguous, name
+        assert tr.points.shape == points.shape, name
+        assert tr.points.tobytes() == points.tobytes(), name
+        assert tr.arcs == arcs, name
+        assert all(type(a) is str for a in tr.arcs), name
+
+
+def test_trace_raises_when_no_point_is_on_curve(fig2a, monkeypatch):
+    monkeypatch.setattr(q.curve, "ONCURVE_TOL", -1.0)
+    message = "all sampled points failed the on-curve residual"
+    with pytest.raises(EmptyComponent, match=message):
+        loop_trace(fig2a, 512)
+    with pytest.raises(EmptyComponent, match=message):
+        q.trace_qplus(fig2a, 512)
 
 
 def test_trace_point_count_scales(fig2c):
