@@ -45,7 +45,6 @@ from .errors import (
     InvalidRouting,
     InvalidWalk,
     MixedGroup,
-    NotConverged,
     NotEligible,
     OffCurve,
     QpwalkError,

@@ -513,11 +513,15 @@ def trace_qplus(spec: WalkSpec, n_points: int = 2048) -> QPlusTrace:
 
     Raises
     ------
+    ValueError
+        If n_points is below 2, too few to span the branch interval.
     EmptyComponent
         If no real points are found; the positive component of an ergodic
         nonsingular walk is never empty, so this signals a failure worth
         surfacing.
     """
+    if n_points < 2:
+        raise ValueError(f"n_points = {n_points} is too small, need n_points >= 2")
     report = branch_points(spec)
     ker = kernel(spec)
     x_l, x_r = report.x_l, report.x_r

@@ -61,13 +61,3 @@ class Diverged(QpwalkError):
 class IllConditioned(QpwalkError):
     """The series weight system is numerically indeterminate."""
 
-
-class NotConverged(QpwalkError):
-    """Power iteration failed to reach the target residual."""
-
-    def __init__(self, iterations: int, residual: float):
-        self.iterations = iterations
-        self.residual = residual
-        super().__init__(
-            f"power iteration: residual {residual:.3e} after {iterations} iterations"
-        )

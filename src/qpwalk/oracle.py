@@ -1,10 +1,11 @@
 """Independent numerical ground truth for candidate measures.
 
-Nothing here knows about compensation: both stationary solvers read one
-description of the truncated chain, dense level blocks built from the step
-law.  Balance residuals plug a measure into the raw balance equations, and
-the convexity check samples midpoints.  Agreement between these and the
-analytic construction is the evidence the rest of the package stands on.
+Nothing here knows about compensation: the stationary solve and the
+transition matrix read one description of the truncated chain, dense level
+blocks built from the step law.  Balance residuals plug a measure into the
+raw balance equations, and the convexity check samples midpoints.
+Agreement between these and the analytic construction is the evidence the
+rest of the package stands on.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import NotConverged
 from .model import OFFSETS, WalkSpec, ensure_valid
 from .terms import GammaSet
 
@@ -23,8 +23,6 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 MASS_FLOOR = 1e-13       # cells below this are excluded from relative errors
-POWER_TOL = 1e-13
-POWER_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -39,14 +37,19 @@ class LatticeWindow:
         return block / block.sum()
 
 
-def _level_blocks(spec: WalkSpec, n: int) -> list[np.ndarray]:
-    """Dense level blocks of the walk truncated to {0..n} squared.
+def _level_triples(spec: WalkSpec, n: int) -> list[tuple]:
+    """The walk truncated to {0..n} squared as per-level (down, within, up)
+    block triples, None where a level has no such block.
 
-    Levels are the second coordinate: ``blocks[j][t + 1][i, i2]`` is the
-    probability of moving from (i, j) to (i2, j + t).  Steps that would
-    leave the box stay put instead, summed onto the diagonal of
-    ``blocks[j][1]`` in (s, t) order.  Levels 0 < j < n share one array.
+    Levels are the second coordinate: in level j's triple (D, W, U),
+    ``W[i, i2]`` is the probability of moving from (i, j) to (i2, j), and
+    D and U move to levels j - 1 and j + 1.  Steps that would leave the box
+    stay put instead, summed onto the diagonal of W in (s, t) order.  Only
+    W differs between the bottom, interior and top levels, so every level
+    shares the interior D and U arrays, and every interior level its W.
     """
+    if n < 2:
+        raise ValueError(f"truncation size n = {n} is too small, need n >= 2")
     law = np.zeros((2, 2, 3, 3))  # law[i > 0, j > 0, s + 1, t + 1]
     law[1, 1] = spec.interior
     law[1, 0, :, 1] = spec.horizontal
@@ -67,51 +70,33 @@ def _level_blocks(spec: WalkSpec, n: int) -> list[np.ndarray]:
                 out[np.where(leaves, 1, t + 1), i, to] += row[:, s + 1, t + 1]
         return out
 
-    kinds = {j: level(j) for j in {0, min(1, n), n}}
-    return [kinds[j if j in (0, n) else 1] for j in range(n + 1)]
+    D, W, U = level(1)
+    return [(None, level(0)[1], U)] + [(D, W, U)] * (n - 1) + [(D, level(n)[1], None)]
 
 
 def transition_matrix(spec: WalkSpec, n: int) -> sp.csr_matrix:
     """Row-stochastic transition matrix of the walk truncated to {0..n}
     squared, with outflow across the truncation redirected to a self-loop.
 
-    State (i, j) maps to row i*(n+1) + j.  Assembled from the level blocks.
-    Only this and power iteration need scipy, so it is imported here and
-    the direct solve, the default, runs on numpy alone.
+    State (i, j) maps to row i*(n+1) + j.  Assembled from the level triples.
+    Only this needs scipy, so it is imported here and the stationary solve
+    runs on numpy alone.
     """
     import scipy.sparse as sp
 
     N = n + 1
-    levels = _level_blocks(spec, n)
+    levels = _level_triples(spec, n)
     rows, cols, vals = [], [], []
-    for blocks in {id(b): b for b in levels}.values():
-        j = np.array([j for j, b in enumerate(levels) if b is blocks])[:, None]
-        t, i, i2 = np.nonzero(blocks)
-        rows.append(i * N + j)
-        cols.append(i2 * N + j + t - 1)
-        vals.append(np.broadcast_to(blocks[t, i, i2], rows[-1].shape))
+    for t in range(3):
+        blocks = [triple[t] for triple in levels]
+        for block in {id(b): b for b in blocks if b is not None}.values():
+            j = np.array([j for j, b in enumerate(blocks) if b is block])[:, None]
+            i, i2 = np.nonzero(block)
+            rows.append(i * N + j)
+            cols.append(i2 * N + j + t - 1)
+            vals.append(np.broadcast_to(block[i, i2], rows[-1].shape))
     rows, cols, vals = (np.concatenate(a, axis=None) for a in (rows, cols, vals))
     return sp.csr_matrix((vals, (rows, cols)), shape=(N * N, N * N))
-
-
-def _gth(W: np.ndarray) -> np.ndarray:
-    """Stationary vector of a small dense stochastic matrix.
-
-    State-reduction form with no subtractions, so every entry comes out
-    with full relative accuracy even when the masses span many orders of
-    magnitude.
-    """
-    A = np.array(W, dtype=float)
-    m = A.shape[0]
-    for k in range(m - 1, 0, -1):
-        s = A[k, :k].sum()
-        A[:k, k] /= s
-        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
-    x = np.zeros(m)
-    x[0] = 1.0
-    for k in range(1, m):
-        x[k] = x[:k] @ A[:k, k]
-    return x / x.sum()
 
 
 # Largest block _escape_inverse eliminates column by column; larger ones
@@ -120,24 +105,16 @@ def _gth(W: np.ndarray) -> np.ndarray:
 _LEAF = 32
 
 
-def _blocked_gth(W: np.ndarray) -> np.ndarray:
-    """Stationary vector of a dense stochastic matrix, subtraction-free,
-    with _gth run only on blocks of at most _LEAF rows.
+def _censored_stationary(W: np.ndarray) -> np.ndarray:
+    """Stationary vector of a dense stochastic matrix W, subtraction-free.
 
-    A larger W = [W11 W12; W21 W22] is censored on its first half: with
-    Y = (I - W22)^{-1}, whose escape is W21 1 since the rows of W sum to
-    one, and P = W12 Y, block 1 alone moves by W11 + P W21, and
-    pi = [pi1, pi1 P] for pi1 that matrix's stationary vector.  GTH never
-    reads its diagonal, so the rounding there does not matter.
+    The chain is censored onto state 0: for j > 0, pi_j / pi_0 is the
+    expected number of visits to j between two visits to 0, the row
+    W[0, 1:] (I - W[1:, 1:])^{-1}.  The rows of W sum to one, so the mass
+    that leaves states 1.. is W[1:, 0], the escape _escape_inverse takes;
+    W's diagonal is never read.
     """
-    m = W.shape[0]
-    if m <= _LEAF:
-        return _gth(W)
-    h = m // 2
-    W12, W21 = W[:h, h:], W[h:, :h]
-    P = W12 @ _escape_inverse(W[h:, h:], W21.sum(axis=1))
-    pi1 = _blocked_gth(W[:h, :h] + P @ W21)
-    x = np.concatenate([pi1, pi1 @ P])
+    x = np.concatenate([[1.0], W[0, 1:] @ _escape_inverse(W[1:, 1:], W[1:, 0])])
     return x / x.sum()
 
 
@@ -208,27 +185,6 @@ def _escape_inverse(W: np.ndarray, escape: np.ndarray) -> np.ndarray:
     return upper @ lower
 
 
-def _level_triples(spec: WalkSpec, n: int) -> list[tuple]:
-    """The level blocks as (down, within, up) triples, None where a level
-    has no such block, with equal blocks made one array: the bottom
-    level's up block and the top level's down block repeat the interior
-    ones, so products of theirs are formed once."""
-    blocks = _level_blocks(spec, n)
-    seen: list[np.ndarray] = []
-
-    def shared(block: np.ndarray) -> np.ndarray:
-        same = next((b for b in seen if np.array_equal(b, block)), None)
-        if same is None:
-            seen.append(same := block)
-        return same
-
-    kinds = {id(b): tuple(map(shared, b)) for b in blocks[:2] + blocks[-1:]}
-    return [
-        (D if j else None, W, U if j < n else None)
-        for j, (D, W, U) in enumerate(kinds[id(b)] for b in blocks)
-    ]
-
-
 def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:
     """Componentwise-accurate stationary grid via cyclic reduction.
 
@@ -239,20 +195,20 @@ def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:
     and even level e gets the blocks
     W_e + D_e X_{e-1} U_{e-1} + U_e X_{e+1} D_{e+1},
     D_e X_{e-1} D_{e-1} and U_e X_{e+1} U_{e+1}.  Stages halve the level
-    count until one level is left, solved by blocked state reduction
-    (_blocked_gth).  The way back is
+    count until one level is left, censored onto one state
+    (_censored_stationary).  The way back is
     pi_l = pi_{l-1} (U_{l-1} X_l) + pi_{l+1} (D_{l+1} X_l), with both
     products kept from the way down.  No step subtracts (see
     _level_inverse), so small cells keep full relative accuracy.
 
-    The interior levels share one block triple (see _level_triples), so
-    inside a stage each product is formed once per distinct operand,
-    memoized by array identity.  A solve does O(log n) inversions, a
-    handful per stage, and keeps O(n^2 log n) memory: a few (n+1)^2
+    The levels share their blocks (see _level_triples), so inside a stage
+    each product is formed once per distinct operand, memoized by array
+    identity.  A solve does O(log n) inversions, a handful per stage and
+    one for the last level, and keeps O(n^2 log n) memory: a few (n+1)^2
     products per stage.  Each inversion splits its block in halves down
-    to blocks of at most _LEAF rows (three levels at n = 160), and so
-    does the last level's state reduction, so most of the arithmetic
-    runs in matrix products rather than one Python step per column.
+    to blocks of at most _LEAF rows (three levels at n = 160), so most of
+    the arithmetic runs in matrix products rather than one Python step
+    per column.
     """
     levels = _level_triples(spec, n)
     stages = []  # per stage, (U_{l-1} X_l, D_{l+1} X_l) for each odd l
@@ -288,7 +244,7 @@ def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:
         stages.append(into)
         levels = kept
         memo.clear()  # frees this stage's scratch products; ids may recur
-    pi = [_blocked_gth(levels[0][1])]  # pi[l][i] = pi(i, l), unnormalized
+    pi = [_censored_stationary(levels[0][1])]  # pi[l][i] = pi(i, l), unnormalized
     for into in reversed(stages):
         full = []
         for i, (up, down) in enumerate(into):
@@ -299,52 +255,15 @@ def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:
     return grid / grid.sum()
 
 
-def _power_iteration(P: sp.csr_matrix) -> np.ndarray:
-    PT = P.T.tocsr()
-    size = P.shape[0]
-    x = np.full(size, 1.0 / size)
-    check_every = 100
-    done = 0
-    while done < POWER_CAP:
-        prev = x
-        for _ in range(check_every):
-            x = PT @ x
-        x = x / x.sum()
-        done += check_every
-        big = x > MASS_FLOOR
-        change = float(np.abs((x[big] - prev[big]) / x[big]).max())
-        if change <= POWER_TOL:
-            return x
-    raise NotConverged(done, change)
-
-
-def truncated_stationary(
-    spec: WalkSpec, n: int, method: str = "auto"
-) -> LatticeWindow:
-    """Stationary distribution of the truncated walk.
-
-    Methods: "direct" (cyclic reduction over the levels, O(log n)
-    subtraction-free block inversions, componentwise accurate, numpy
-    only, O(n^2 log n) memory), "power" (iterated sparse transition
-    operator to a 1e-13 successive change, kept as an independent
-    reference, the only method that loads scipy), or "auto", which is
-    direct at every n.
-
-    Raises
-    ------
-    NotConverged
-        If power iteration hits its cap before stabilizing.
+def truncated_stationary(spec: WalkSpec, n: int) -> LatticeWindow:
+    """Stationary distribution of the truncated walk, by cyclic reduction
+    over the levels (_direct_censored): O(log n) subtraction-free block
+    inversions, componentwise accurate, numpy only, O(n^2 log n) memory.
     """
     ensure_valid(spec)
     if n < 8:
         raise ValueError(f"truncation size n = {n} is too small, need n >= 8")
-    if method in ("auto", "direct"):
-        grid = _direct_censored(spec, n)
-    elif method == "power":
-        grid = _power_iteration(transition_matrix(spec, n)).reshape(n + 1, n + 1)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    grid = np.abs(grid)
+    grid = np.abs(_direct_censored(spec, n))
     grid = grid / grid.sum()
     grid.flags.writeable = False
     return LatticeWindow(n, grid)
@@ -400,6 +319,8 @@ def _grid_residuals(spec: WalkSpec, m: np.ndarray, window: int):
     direction so inflow sums stay inside it.
     """
     W = window
+    if W < 1:
+        raise ValueError(f"window {W} is too small, need window >= 1")
     if m.shape[0] < W + 2 or m.shape[1] < W + 2:
         raise ValueError(f"grid {m.shape} too small for window {W}")
 

@@ -3,26 +3,27 @@
 ``keep_all_censored`` censors the levels from the top down in
 matrix-geometric form, holding the rate matrix R_j of every level from
 the way down to the way back up: n matrices of (n+1)^2 doubles, a 36 MB
-peak at n=160.  It shares only the level blocks and ``_gth`` with the
-shipped cyclic reduction, so it is an independent check, to rounding.
+peak at n=160.  It shares only the level triples with the shipped cyclic
+reduction, and solves its bottom level with its own ``loop_gth``, so it is
+an independent check, to rounding.
 Its rate matrices come from LAPACK solves, which subtract, so on
 drifting walks its smallest cells lose relative accuracy that the
 reduction keeps.
 
-``loop_gth`` is state reduction with its rank-1 update written as a loop
-over columns, the form the shipped vectorized ``_gth`` must match byte
-for byte.
+``loop_gth`` is state reduction (Grassmann-Taksar-Heyman) with its
+rank-1 update written as a loop over columns, the reference for the
+shipped solve's last level, which censors onto one state instead.
 """
 
 import numpy as np
 
-from qpwalk.oracle import _gth, _level_blocks
+from qpwalk.oracle import _level_triples
 
 
 def censor_all(spec, n: int):
     """Every rate matrix R_1..R_n (index 0 unused) and the bottom block W_0."""
     N = n + 1
-    blocks = _level_blocks(spec, n)  # blocks[j]: down, within, up
+    blocks = _level_triples(spec, n)  # blocks[j]: down, within, up
     Rs = [None] * N
     W = blocks[n][1]
     for j in range(n, 0, -1):
@@ -35,7 +36,7 @@ def censor_all(spec, n: int):
 def keep_all_censored(spec, n: int) -> np.ndarray:
     Rs, W0 = censor_all(spec, n)
     levels = np.zeros((n + 1, n + 1))  # levels[j][i] = pi(i, j), unnormalized
-    levels[0] = _gth(W0)
+    levels[0] = loop_gth(W0)
     for j in range(1, n + 1):
         levels[j] = levels[j - 1] @ Rs[j]
     grid = levels.T.copy()

@@ -2,22 +2,18 @@
 
 ``plain_reduction`` eliminates the odd levels of each stage one by one,
 forming every level's blocks separately: no product is shared between
-levels, and no block is merged with an equal one.  The shipped solve
-forms each product once per distinct operand and reuses it, by the same
-calls in the same order, so the two grids must agree bit for bit.
+levels, even where their operands are one shared array.  The shipped
+solve forms each product once per distinct operand and reuses it, by the
+same calls in the same order, so the two grids must agree bit for bit.
 """
 
 import numpy as np
 
-from qpwalk.oracle import _blocked_gth, _level_blocks, _level_inverse
+from qpwalk.oracle import _censored_stationary, _level_inverse, _level_triples
 
 
 def plain_reduction(spec, n: int) -> np.ndarray:
-    blocks = _level_blocks(spec, n)  # blocks[j]: down, within, up
-    levels = [
-        (b[0] if j else None, b[1], b[2] if j < n else None)
-        for j, b in enumerate(blocks)
-    ]
+    levels = _level_triples(spec, n)
     stages = []
     while len(levels) > 1:
         L = len(levels)
@@ -41,7 +37,7 @@ def plain_reduction(spec, n: int) -> np.ndarray:
             kept.append((D, W, U))
         stages.append(into)
         levels = kept
-    pi = [_blocked_gth(levels[0][1])]
+    pi = [_censored_stationary(levels[0][1])]
     for into in reversed(stages):
         full = []
         for i, (up, down) in enumerate(into):

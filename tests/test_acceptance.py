@@ -14,6 +14,7 @@ import pytest
 import qpwalk as q
 from conftest import PRESET_NAMES, random_gamma, random_walk, twelve_dot_set
 from partition_oracle import brute_force_partition
+from power_reference import power_stationary
 
 
 def test_criterion_1_switch_end_to_end(switch):
@@ -205,12 +206,12 @@ def test_criterion_8_negative_set_convexity():
 
 def test_criterion_9_oracle_cross_validation(switch):
     for n in (40, 80):
-        direct = q.truncated_stationary(switch, n, method="direct")
-        power = q.truncated_stationary(switch, n, method="power")
-        assert np.max(np.abs(direct.values - power.values)) <= 1e-10
+        direct = q.truncated_stationary(switch, n)
+        power = power_stationary(switch, n)
+        assert np.max(np.abs(direct.values - power)) <= 1e-10
 
-    w80 = q.truncated_stationary(switch, 80, method="direct")
-    w100 = q.truncated_stationary(switch, 100, method="direct")
+    w80 = q.truncated_stationary(switch, 80)
+    w100 = q.truncated_stationary(switch, 100)
     a = w80.values[:9, :9]
     b = w100.values[:9, :9]
     rel = np.abs(a - b) / np.maximum(np.abs(b), 1e-300)

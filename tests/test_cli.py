@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,31 @@ def test_singular_walk_trace_is_input_error(capsys, tmp_path):
     bad.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "trace", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["trace", "switch_fig7", "--points", "1"], "n_points = 1"),
+        (["trace", "switch_fig7", "--points", "0"], "n_points = 0"),
+        (["trace", "switch_fig7", "--points", "-3"], "n_points = -3"),
+        (["construct", "switch_fig7", "--window", "0"], "window 0"),
+        (["construct", "switch_fig7", "--window", "-1"], "window -1"),
+        (["verify", "switch_fig7", "MEASURE", "--window", "0"], "window 0"),
+        (["verify", "switch_fig7", "MEASURE", "--window", "-1"], "window -1"),
+    ],
+    ids=["points-1", "points-0", "points-neg3", "construct-window-0",
+         "construct-window-neg1", "verify-window-0", "verify-window-neg1"],
+)
+def test_count_below_minimum_is_input_error(capsys, tmp_path, argv, named):
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps([{"rho": 0.5, "sigma": 0.5, "alpha": 1.0}]))
+    argv = [str(measure) if a == "MEASURE" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert named in json.loads(err)["error"]
 
 
 def test_console_entry_point_runs():

@@ -8,14 +8,15 @@ import scipy.sparse as sp
 
 import qpwalk as q
 from qpwalk import oracle as oracle_mod
-from qpwalk.errors import NotConverged
 from qpwalk.model import OFFSETS
 from qpwalk.oracle import transition_matrix
 
 from conftest import PRESET_NAMES, product_form_walk, random_walk
-from keep_all_censored import censor_all, keep_all_censored, loop_gth
+from keep_all_censored import keep_all_censored, loop_gth
 from loop_level_inverse import loop_level_inverse
 from plain_reduction import plain_reduction
+import power_reference
+from power_reference import NotConverged, power_stationary
 
 
 # --- transition matrix ---
@@ -33,6 +34,13 @@ def test_rows_are_stochastic():
 def test_transition_matrix_is_csr():
     rng = np.random.default_rng(60)
     assert isinstance(transition_matrix(random_walk(rng), 8), sp.csr_matrix)
+
+
+def test_transition_matrix_needs_an_interior_level():
+    # Every level's down and up blocks are the interior level's.
+    rng = np.random.default_rng(60)
+    with pytest.raises(ValueError):
+        transition_matrix(random_walk(rng), 1)
 
 
 def test_truncation_redirects_to_self_loop():
@@ -104,7 +112,7 @@ def test_direct_solve_is_stationary():
     rng = np.random.default_rng(64)
     spec = random_walk(rng, neg_drift=True)
     n = 30
-    w = q.truncated_stationary(spec, n, method="direct")
+    w = q.truncated_stationary(spec, n)
     pi = w.values.ravel()
     P = transition_matrix(spec, n)
     assert np.abs(pi @ P - pi).max() <= 1e-13
@@ -115,9 +123,9 @@ def test_direct_solve_is_stationary():
 def test_direct_and_power_agree():
     rng = np.random.default_rng(65)
     spec = random_walk(rng, neg_drift=True)
-    a = q.truncated_stationary(spec, 25, method="direct")
-    b = q.truncated_stationary(spec, 25, method="power")
-    assert np.abs(a.values - b.values).max() <= 1e-10
+    a = q.truncated_stationary(spec, 25)
+    b = power_stationary(spec, 25)
+    assert np.abs(a.values - b).max() <= 1e-10
 
 
 def _bit_identity_walks():
@@ -174,32 +182,15 @@ def test_reduction_one_step_residual_is_componentwise(n):
         assert _one_step_residual(spec, n, grid) <= 1e-14, name
 
 
-@pytest.mark.parametrize("n", [8, 30, 80])
-def test_gth_matches_loop_on_preset_bottom_blocks(n):
-    for name, spec in _bit_identity_walks():
-        W0 = censor_all(spec, n)[1]
-        assert oracle_mod._gth(W0).tobytes() == loop_gth(W0).tobytes(), name
-
-
-def test_gth_matches_loop_on_random_stochastic_matrices():
-    # Entries spread over 30 orders of magnitude, as in censored blocks.
-    rng = np.random.default_rng(74)
-    for m in (9, 10, 17, 41, 81, 120, 161):
-        W = 10.0 ** rng.uniform(-30, 0, (m, m))
-        W /= W.sum(axis=1, keepdims=True)
-        assert oracle_mod._gth(W).tobytes() == loop_gth(W).tobytes(), m
-
-
-# The blocked last level against state reduction on the whole block:
-# measured up to 1.9e-15 on the random matrices and 7.9e-15 on the preset
-# blocks (every block the recursion meets), with numpy 2.4.
+# The last level, censored onto one state, against state reduction on the
+# whole block.  The names are kept from the blocked state reduction these
+# checks guarded before, whose bound they keep: measured up to 1.9e-15 on
+# the random matrices and 8.6e-15 on the preset last levels, with numpy 2.4.
 BLOCKED_GTH_AGREEMENT = 2e-14
 
 
 def _assert_blocked_gth_agrees(W, label):
-    got, want = oracle_mod._blocked_gth(W), loop_gth(W)
-    if W.shape[0] <= oracle_mod._LEAF:  # a leaf is _gth itself
-        assert got.tobytes() == want.tobytes(), label
+    got, want = oracle_mod._censored_stationary(W), loop_gth(W)
     assert got.min() >= 0.0 and ((got == 0.0) == (want == 0.0)).all(), label
     big = want > 0.0
     error = np.abs(got[big] - want[big]) / want[big]
@@ -218,21 +209,21 @@ def test_blocked_gth_matches_loop_on_random_stochastic_matrices():
 
 @pytest.mark.parametrize("n", [80, 160])
 def test_blocked_gth_matches_loop_on_preset_last_levels(n, monkeypatch):
-    # The last level of each solve, and the censored blocks it recurses on.
+    # The last level of each solve.
     blocks = []
-    shipped = oracle_mod._blocked_gth
+    shipped = oracle_mod._censored_stationary
 
     def record(W):
         blocks.append(W)
         return shipped(W)
 
-    monkeypatch.setattr(oracle_mod, "_blocked_gth", record)
+    monkeypatch.setattr(oracle_mod, "_censored_stationary", record)
     for name in PRESET_NAMES:
         oracle_mod._direct_censored(q.presets.load(name), n)
     monkeypatch.undo()
-    assert blocks[0].shape == (n + 1, n + 1)
-    for i, W in enumerate(blocks):
-        _assert_blocked_gth_agrees(W, f"block {i} of {W.shape[0]} rows")
+    assert [W.shape for W in blocks] == [(n + 1, n + 1)] * len(PRESET_NAMES)
+    for name, W in zip(PRESET_NAMES, blocks):
+        _assert_blocked_gth_agrees(W, name)
 
 
 # The blocked inverse against the column-by-column one: measured up to
@@ -303,7 +294,7 @@ def test_direct_solve_memory_stays_checkpointed(switch):
     # which keeps a few products per halving, measured 6.0 MB (numpy 2.4).
     tracemalloc.start()
     try:
-        q.truncated_stationary(switch, 160, method="direct")
+        q.truncated_stationary(switch, 160)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -340,9 +331,9 @@ def test_default_method_solves_where_power_stalls(n):
 def test_power_iteration_cap_raises(monkeypatch):
     rng = np.random.default_rng(66)
     spec = random_walk(rng, neg_drift=True)
-    monkeypatch.setattr(oracle_mod, "POWER_CAP", 100)
+    monkeypatch.setattr(power_reference, "POWER_CAP", 100)
     with pytest.raises(NotConverged) as err:
-        q.truncated_stationary(spec, 20, method="power")
+        power_stationary(spec, 20)
     assert err.value.iterations >= 100
 
 
