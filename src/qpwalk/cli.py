@@ -184,6 +184,10 @@ def _cmd_construct(args) -> int:
     }
     doc.update(assembled.to_dict())
     _emit(dumps(doc) + "\n", args.output)
+    # The JSON is written either way, as verify writes its report on a fail.
+    if assembled.max_residual > args.tol:
+        return _fail(1, f"measure fails balance: worst residual "
+                        f"{assembled.max_residual} is above tol {args.tol}")
     return 0
 
 

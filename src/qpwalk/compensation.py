@@ -302,6 +302,8 @@ def build_series(
 
     Raises
     ------
+    ValueError
+        If tol is not positive and finite.
     NotEligible
         If the walk has a north, northeast or east interior step.
     OffCurve
@@ -312,6 +314,8 @@ def build_series(
     Diverged
         If term coordinates grow again after the grace period.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance tol = {tol} must be positive and finite")
     if not eligible(spec):
         raise NotEligible(
             "interior east/northeast/north probabilities must vanish: "

@@ -37,16 +37,18 @@ class LatticeWindow:
         return block / block.sum()
 
 
-def _level_triples(spec: WalkSpec, n: int) -> list[tuple]:
-    """The walk truncated to {0..n} squared as per-level (down, within, up)
-    block triples, None where a level has no such block.
+def _level_blocks(spec: WalkSpec, n: int) -> tuple[np.ndarray, ...]:
+    """The walk truncated to {0..n} squared as its five level blocks
+    (W0, D, W, U, Wn).
 
-    Levels are the second coordinate: in level j's triple (D, W, U),
-    ``W[i, i2]`` is the probability of moving from (i, j) to (i2, j), and
-    D and U move to levels j - 1 and j + 1.  Steps that would leave the box
-    stay put instead, summed onto the diagonal of W in (s, t) order.  Only
-    W differs between the bottom, interior and top levels, so every level
-    shares the interior D and U arrays, and every interior level its W.
+    Levels are the second coordinate: ``W[i, i2]`` is the probability of
+    moving from (i, j) to (i2, j) within an interior level, and D and U
+    move to levels j - 1 and j + 1.  Steps that would leave the box stay
+    put instead, summed onto the diagonal of the within block in (s, t)
+    order.  Away from the horizontal axis one step law governs every
+    level, so every level moves down by D and up by U; only the within
+    block differs, W0 on the bottom level, W on levels 1..n-1 and Wn on
+    the top level n.  The bottom level has no D, the top one no U.
     """
     if n < 2:
         raise ValueError(f"truncation size n = {n} is too small, need n >= 2")
@@ -71,30 +73,31 @@ def _level_triples(spec: WalkSpec, n: int) -> list[tuple]:
         return out
 
     D, W, U = level(1)
-    return [(None, level(0)[1], U)] + [(D, W, U)] * (n - 1) + [(D, level(n)[1], None)]
+    return level(0)[1], D, W, U, level(n)[1]
 
 
 def transition_matrix(spec: WalkSpec, n: int) -> sp.csr_matrix:
     """Row-stochastic transition matrix of the walk truncated to {0..n}
     squared, with outflow across the truncation redirected to a self-loop.
 
-    State (i, j) maps to row i*(n+1) + j.  Assembled from the level triples.
-    Only this needs scipy, so it is imported here and the stationary solve
-    runs on numpy alone.
+    State (i, j) maps to row i*(n+1) + j.  Each of the five level blocks
+    (_level_blocks) fills its own range of levels.  Only this needs scipy,
+    so it is imported here and the stationary solve runs on numpy alone.
     """
     import scipy.sparse as sp
 
     N = n + 1
-    levels = _level_triples(spec, n)
+    W0, D, W, U, Wn = _level_blocks(spec, n)
     rows, cols, vals = [], [], []
-    for t in range(3):
-        blocks = [triple[t] for triple in levels]
-        for block in {id(b): b for b in blocks if b is not None}.values():
-            j = np.array([j for j, b in enumerate(blocks) if b is block])[:, None]
-            i, i2 = np.nonzero(block)
-            rows.append(i * N + j)
-            cols.append(i2 * N + j + t - 1)
-            vals.append(np.broadcast_to(block[i, i2], rows[-1].shape))
+    # (block, its levels, level step)
+    for block, first, last, t in (
+        (D, 1, n, -1), (W0, 0, 0, 0), (W, 1, n - 1, 0), (Wn, n, n, 0), (U, 0, n - 1, 1)
+    ):
+        j = np.arange(first, last + 1)[:, None]
+        i, i2 = np.nonzero(block)
+        rows.append(i * N + j)
+        cols.append(i2 * N + j + t)
+        vals.append(np.broadcast_to(block[i, i2], rows[-1].shape))
     rows, cols, vals = (np.concatenate(a, axis=None) for a in (rows, cols, vals))
     return sp.csr_matrix((vals, (rows, cols)), shape=(N * N, N * N))
 
@@ -189,76 +192,64 @@ def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:
     """Componentwise-accurate stationary grid via cyclic reduction.
 
     Levels are the second coordinate, and the chain is block tridiagonal
-    over them: level l moves down by D_l, within by W_l and up by U_l.
-    Each stage censors the chain on its even levels (Bini-Meini cyclic
-    reduction).  Odd level l is eliminated through X_l = (I - W_l)^{-1},
-    and even level e gets the blocks
-    W_e + D_e X_{e-1} U_{e-1} + U_e X_{e+1} D_{e+1},
-    D_e X_{e-1} D_{e-1} and U_e X_{e+1} U_{e+1}.  Stages halve the level
-    count until one level is left, censored onto one state
-    (_censored_stationary).  The way back is
-    pi_l = pi_{l-1} (U_{l-1} X_l) + pi_{l+1} (D_{l+1} X_l), with both
-    products kept from the way down.  No step subtracts (see
-    _level_inverse), so small cells keep full relative accuracy.
+    over them, with the five blocks of _level_blocks: every level moves
+    down by D and up by U, and within by W0 (bottom), W (interior) or Wn
+    (top).  Each stage censors the chain on its even levels (Bini-Meini
+    cyclic reduction), and the censored chain again has five such blocks.
+    An interior odd level is eliminated through X = (I - W)^{-1}, and a
+    top odd level, when the level count is even, through
+    Xn = (I - Wn)^{-1}.  The even levels get D X D and U X U, and the
+    within blocks W0 + U X D, W + D X U + U X D and Wn + D X U; when the
+    top level is odd, the new top is W + D X U + U Xn D instead.  Stages
+    halve the level count until one level is left, censored onto one
+    state (_censored_stationary).  The way back is
+    pi_l = pi_{l-1} (U X) + pi_{l+1} (D X) for an interior odd level l and
+    pi_l = pi_{l-1} (U Xn) for a top one, with U X, D X and U Xn kept from
+    the way down, one vector-matrix product per level.  No step subtracts
+    (see _level_inverse), so small cells keep full relative accuracy.
 
-    The levels share their blocks (see _level_triples), so inside a stage
-    each product is formed once per distinct operand, memoized by array
-    identity.  A solve does O(log n) inversions, a handful per stage and
-    one for the last level, and keeps O(n^2 log n) memory: a few (n+1)^2
-    products per stage.  Each inversion splits its block in halves down
-    to blocks of at most _LEAF rows (three levels at n = 160), so most of
-    the arithmetic runs in matrix products rather than one Python step
-    per column.
+    A stage inverts the interior block once (unless only two levels are
+    left) and the top block once when the level count is even, so a solve
+    does O(log n) inversions, plus one for the last level.  It keeps
+    O(n^2 log n) memory: two or three (n+1)^2 products per stage.  Each
+    inversion splits its block in halves down to blocks of at most _LEAF
+    rows (three levels at n = 160), so most of the arithmetic runs in
+    matrix products rather than one Python step per column.
     """
-    levels = _level_triples(spec, n)
-    stages = []  # per stage, (U_{l-1} X_l, D_{l+1} X_l) for each odd l
-    memo: dict = {}
-
-    def once(f, *args):
-        key = (f, *map(id, args))
-        if key not in memo:
-            memo[key] = f(*args)
-        return memo[key]
-
-    while len(levels) > 1:
-        L = len(levels)
-        into = []
-        for l in range(1, L, 2):
-            X = once(_level_inverse, *levels[l])
-            into.append((
-                once(np.matmul, levels[l - 1][2], X),
-                once(np.matmul, levels[l + 1][0], X) if l + 1 < L else None,
-            ))
-        kept = []
-        for e in range(0, L, 2):
-            D, W, U = levels[e]
-            if e > 0:
-                down = into[e // 2 - 1][1]
-                W = once(np.add, W, once(np.matmul, down, levels[e - 1][2]))
-                D = once(np.matmul, down, levels[e - 1][0])
-            if e + 1 < L:
-                up, above = into[e // 2][0], levels[e + 1]
-                W = once(np.add, W, once(np.matmul, up, above[0]))
-                U = None if above[2] is None else once(np.matmul, up, above[2])
-            kept.append((D, W, U))
-        stages.append(into)
-        levels = kept
-        memo.clear()  # frees this stage's scratch products; ids may recur
-    pi = [_censored_stationary(levels[0][1])]  # pi[l][i] = pi(i, l), unnormalized
-    for into in reversed(stages):
+    W0, D, W, U, Wn = _level_blocks(spec, n)
+    L = n + 1
+    stages = []  # per stage: level count, U X, D X, U Xn
+    while L > 1:
+        UX = DX = UXn = None
+        if L % 2 == 0:  # the top level is odd
+            UXn = U @ _level_inverse(D, Wn, None)
+        if L == 2:
+            W0 = W0 + UXn @ D
+        else:
+            X = _level_inverse(D, W, U)
+            UX, DX = U @ X, D @ X
+            UXD, DXU = UX @ D, DX @ U
+            W0, inner = W0 + UXD, W + DXU
+            W, Wn = inner + UXD, Wn + DXU if L % 2 else inner + UXn @ D
+            D, U = DX @ D, UX @ U
+        stages.append((L, UX, DX, UXn))
+        L = (L + 1) // 2
+    pi = [_censored_stationary(W0)]  # pi[l][i] = pi(i, l), unnormalized
+    for L, UX, DX, UXn in reversed(stages):
         full = []
-        for i, (up, down) in enumerate(into):
-            below = pi[i] @ up
-            full += [pi[i], below if down is None else below + pi[i + 1] @ down]
-        pi = full + pi[len(into) :]
+        for e in range(L // 2):  # odd level 2e + 1 lies between pi[e] and pi[e + 1]
+            odd = pi[e] @ UX + pi[e + 1] @ DX if 2 * e + 2 < L else pi[e] @ UXn
+            full += [pi[e], odd]
+        pi = full + pi[L // 2 :]
     grid = np.array(pi).T.copy()
     return grid / grid.sum()
 
 
 def truncated_stationary(spec: WalkSpec, n: int) -> LatticeWindow:
     """Stationary distribution of the truncated walk, by cyclic reduction
-    over the levels (_direct_censored): O(log n) subtraction-free block
-    inversions, componentwise accurate, numpy only, O(n^2 log n) memory.
+    on its five level blocks (_direct_censored): at most two
+    subtraction-free block inversions per halving of the level count,
+    componentwise accurate, numpy only, O(n^2 log n) memory.
     """
     ensure_valid(spec)
     if n < 8:

@@ -3,7 +3,7 @@
 ``keep_all_censored`` censors the levels from the top down in
 matrix-geometric form, holding the rate matrix R_j of every level from
 the way down to the way back up: n matrices of (n+1)^2 doubles, a 36 MB
-peak at n=160.  It shares only the level triples with the shipped cyclic
+peak at n=160.  It shares only the level blocks with the shipped cyclic
 reduction, and solves its bottom level with its own ``loop_gth``, so it is
 an independent check, to rounding.
 Its rate matrices come from LAPACK solves, which subtract, so on
@@ -17,19 +17,19 @@ shipped solve's last level, which censors onto one state instead.
 
 import numpy as np
 
-from qpwalk.oracle import _level_triples
+from qpwalk.oracle import _level_blocks
 
 
 def censor_all(spec, n: int):
     """Every rate matrix R_1..R_n (index 0 unused) and the bottom block W_0."""
     N = n + 1
-    blocks = _level_triples(spec, n)  # blocks[j]: down, within, up
+    W0, D, Wi, U, Wn = _level_blocks(spec, n)
     Rs = [None] * N
-    W = blocks[n][1]
+    W = Wn  # level j's within block, censored on the levels above it
     for j in range(n, 0, -1):
-        # R_j = A_up (I - W_j)^{-1}: solve the transposed system on A_up^T.
-        Rs[j] = np.linalg.solve((np.eye(N) - W).T, blocks[j - 1][2].T).T
-        W = blocks[j - 1][1] + Rs[j] @ blocks[j][0]
+        # R_j = U (I - W_j)^{-1}: solve the transposed system on U^T.
+        Rs[j] = np.linalg.solve((np.eye(N) - W).T, U.T).T
+        W = (W0 if j == 1 else Wi) + Rs[j] @ D
     return Rs, W
 
 

@@ -145,6 +145,36 @@ def test_construct_rejects_ineligible_walk(capsys):
     assert "error" in diag
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [(["--max-terms", "0"], "max_residual_h"), (["--max-terms", "2"], "max_residual_origin")],
+    ids=["max-terms-0", "max-terms-2"],
+)
+def test_construct_fails_when_measure_fails_balance(capsys, argv, field):
+    # One or two terms per series leave the measure far from balance.
+    code, out, err = run_cli(capsys, "construct", "switch_fig7", *argv)
+    assert code == 1
+    summary = json.loads(out)["residual_summary"]
+    assert summary["worst"] == summary[field] > 1.0
+    message = json.loads(err)["error"]
+    assert repr(summary["worst"]) in message and "1e-12" in message
+
+
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_construct_rejects_non_positive_tol(capsys, tol):
+    code, out, err = run_cli(capsys, "construct", "switch_fig7", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert f"tol = {float(tol)}" in json.loads(err)["error"]
+
+
+def test_build_series_rejects_non_finite_tol(switch, switch_seeds):
+    seed = (switch_seeds[0].x, switch_seeds[0].y)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            q.build_series(switch, seed, tol=tol)
+
+
 # --- start-up: no scipy on the CLI path ---
 
 

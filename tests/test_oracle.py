@@ -142,12 +142,12 @@ def _one_step_residual(spec, n, grid):
     return float((np.abs(flow[big] - pi[big]) / pi[big]).max())
 
 
-# The shipped solve forms each product once per distinct operand; the plain
-# reduction forms every level's own.  An even n keeps the top level at the
-# first stage and an odd n (9, 15) eliminates it there.  The name is kept
-# from the checkpointed solve that this byte check guarded before.
-@pytest.mark.parametrize("n", [8, 9, 15, 24, 30, 80, 100])
-def test_checkpointed_solve_is_bit_identical_to_keep_all(n):
+# The shipped solve carries the five level blocks through each stage; the
+# plain reduction forms every level's own.  An even n keeps the top level at
+# the first stage and an odd n (3, 9, 15) eliminates it there.  n = 2 and 3
+# start from 3 and 4 levels, and n = 160 from 161.
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 15, 24, 30, 80, 100, 160])
+def test_reduction_is_bit_identical_to_plain_reduction(n):
     for name, spec in _bit_identity_walks():
         got = oracle_mod._direct_censored(spec, n)
         want = plain_reduction(spec, n)
@@ -183,9 +183,8 @@ def test_reduction_one_step_residual_is_componentwise(n):
 
 
 # The last level, censored onto one state, against state reduction on the
-# whole block.  The names are kept from the blocked state reduction these
-# checks guarded before, whose bound they keep: measured up to 1.9e-15 on
-# the random matrices and 8.6e-15 on the preset last levels, with numpy 2.4.
+# whole block: measured up to 1.9e-15 on the random matrices and 8.6e-15 on
+# the preset last levels, with numpy 2.4.
 BLOCKED_GTH_AGREEMENT = 2e-14
 
 
@@ -197,7 +196,7 @@ def _assert_blocked_gth_agrees(W, label):
     assert error.max() <= BLOCKED_GTH_AGREEMENT, label
 
 
-def test_blocked_gth_matches_loop_on_random_stochastic_matrices():
+def test_censored_stationary_matches_loop_gth_on_random_stochastic_matrices():
     leaf = oracle_mod._LEAF
     rng = np.random.default_rng(76)
     for m in (9, leaf - 1, leaf, leaf + 1, 2 * leaf + 1, 81, 161, 321):
@@ -208,7 +207,7 @@ def test_blocked_gth_matches_loop_on_random_stochastic_matrices():
 
 
 @pytest.mark.parametrize("n", [80, 160])
-def test_blocked_gth_matches_loop_on_preset_last_levels(n, monkeypatch):
+def test_censored_stationary_matches_loop_gth_on_preset_last_levels(n, monkeypatch):
     # The last level of each solve.
     blocks = []
     shipped = oracle_mod._censored_stationary
@@ -289,9 +288,9 @@ def test_level_inverse_matches_loop_on_preset_blocks(monkeypatch):
         _assert_inverse_agrees(D, W, U, f"{PRESET_NAMES[i // 9]} inversion {i % 9}")
 
 
-def test_direct_solve_memory_stays_checkpointed(switch):
+def test_direct_solve_peak_memory_stays_below_10mb(switch):
     # Keeping all n rate matrices peaks at 36 MB here; cyclic reduction,
-    # which keeps a few products per halving, measured 6.0 MB (numpy 2.4).
+    # which keeps two or three products per halving, measured 5.8 MB (numpy 2.4).
     tracemalloc.start()
     try:
         q.truncated_stationary(switch, 160)
@@ -301,7 +300,7 @@ def test_direct_solve_memory_stays_checkpointed(switch):
     assert peak <= 10e6
 
 
-def test_auto_is_direct_at_every_n(switch, monkeypatch):
+def test_truncated_stationary_runs_direct_solve_at_every_n(switch, monkeypatch):
     solved = []
 
     def direct(spec, n):
@@ -315,7 +314,7 @@ def test_auto_is_direct_at_every_n(switch, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [13, 30])
-def test_default_method_solves_where_power_stalls(n):
+def test_truncated_stationary_solves_where_power_stalls(n):
     # The 29th forced draw of this generator (drift -0.52, -0.45): power
     # iteration raises NotConverged after 200,000 iterations at n = 13 and 30,
     # and the rate-matrix form's one-step residual reads 1.4e-10 at n = 30.
