@@ -11,12 +11,9 @@ from .compensation import (
     assemble_measure,
     build_series,
     coefficient_ratio_h,
-    coefficient_ratio_v,
-    companion_h,
     companion_v,
     eligible,
     t_value,
-    t_value_vertical,
 )
 from .curve import (
     BranchPointReport,
@@ -28,11 +25,9 @@ from .curve import (
     branch_points,
     curve_boundary_intersections,
     detect_singularity,
-    disc_x_coeffs,
     disc_y_coeffs,
     kernel,
     trace_qplus,
-    x_quadratic,
     y_quadratic,
 )
 from .errors import (

@@ -192,6 +192,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"tolerance tol = {args.tol} must be positive and finite")
     spec = _load_walk(args.walk)
     gamma = _load_gamma(args.measure)
     report = balance_residuals(spec, gamma, window=args.window)

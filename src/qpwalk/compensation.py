@@ -13,7 +13,7 @@ stabilizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -53,14 +53,6 @@ def _coords(term: TermLike) -> tuple[float, float]:
     return float(rho), float(sigma)
 
 
-def _transposed(term: TermLike) -> TermLike:
-    """The term with its coordinates exchanged, for the transposed walk."""
-    if isinstance(term, WeightedTerm):
-        return term.transpose()
-    rho, sigma = _coords(term)
-    return (sigma, rho)
-
-
 def eligible(spec: WalkSpec) -> bool:
     """Whether the walk admits the compensation construction at all.
 
@@ -97,12 +89,6 @@ def _t_function(spec: WalkSpec) -> Callable[[TermLike], float]:
         return (1.0 - 1.0 / rho) * east + (1.0 - rho) * west + north - sigma * south
 
     return t
-
-
-def t_value_vertical(term: TermLike, spec: WalkSpec) -> float:
-    """Vertical analogue of t_value: t_value of the transposed term in the
-    transposed walk."""
-    return t_value(_transposed(term), spec.transpose())
 
 
 @dataclass(frozen=True)
@@ -176,21 +162,9 @@ def _companion_v(term: TermLike, ker: KernelPoly) -> CompanionStatus:
     return CompanionStatus(WeightedTerm(rho, other, alpha), "ok", other)
 
 
-def companion_h_status(term: TermLike, spec: WalkSpec) -> CompanionStatus:
-    """Other root of the kernel quadratic in x at the term's y-coordinate:
-    companion_v_status of the transposed term in the transposed walk."""
-    st = companion_v_status(_transposed(term), spec.transpose())
-    return replace(st, term=None if st.term is None else st.term.transpose())
-
-
 def companion_v(term: TermLike, spec: WalkSpec) -> Optional[WeightedTerm]:
     """Companion sharing rho, or None at double roots and outside (0, 1)."""
     return companion_v_status(term, spec).term
-
-
-def companion_h(term: TermLike, spec: WalkSpec) -> Optional[WeightedTerm]:
-    """Companion sharing sigma, or None at double roots and outside (0, 1)."""
-    return companion_h_status(term, spec).term
 
 
 def _ratio(T1: float, T2: float) -> float:
@@ -223,13 +197,6 @@ def _coefficient_ratio(
             f"pair does not share rho (sigma in the vertical form): {r1} vs {r2}"
         )
     return _ratio(t(t1), t(t2))
-
-
-def coefficient_ratio_v(
-    pair: Sequence[TermLike], spec: WalkSpec
-) -> float:
-    """Vertical mirror of coefficient_ratio_h for a sigma-sharing pair."""
-    return coefficient_ratio_h([_transposed(t) for t in pair], spec.transpose())
 
 
 @dataclass(frozen=True)

@@ -114,11 +114,6 @@ def y_quadratic(ker: KernelPoly, x):
     return A, B, C
 
 
-def x_quadratic(ker: KernelPoly, y):
-    """Coefficients ``(A, B, C)`` of ``Q(., y)`` as ``A x^2 + B x + C``."""
-    return y_quadratic(KernelPoly(ker.c.T), y)
-
-
 def disc_y_coeffs(ker: KernelPoly) -> np.ndarray:
     """Ascending coefficients of the quartic ``B(x)^2 - 4 A(x) C(x)``."""
     c = ker.c
@@ -126,11 +121,6 @@ def disc_y_coeffs(ker: KernelPoly) -> np.ndarray:
     B = np.array([c[0, 1], c[1, 1], c[2, 1]])
     C = np.array([c[0, 0], c[1, 0], c[2, 0]])
     return np.convolve(B, B) - 4.0 * np.convolve(A, C)
-
-
-def disc_x_coeffs(ker: KernelPoly) -> np.ndarray:
-    """Ascending coefficients of the quartic discriminant in y."""
-    return disc_y_coeffs(KernelPoly(ker.c.T))
 
 
 def _polyval(coeffs: list[float], x: float) -> float:

@@ -429,7 +429,7 @@ def necessary_conditions(
         ker = kernel(spec)
         ker_t = KernelPoly(ker.c.T)  # the kernel of the transposed walk
         for idx, t in enumerate(g.terms):
-            # companion_h_status and companion_v_status, kernels hoisted
+            # the H companion is the V companion on the transposed walk
             h_st = _companion_v(t.transpose(), ker_t)
             v_st = _companion_v(t, ker)
             if h_st.term is None and v_st.term is None:

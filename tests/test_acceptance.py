@@ -42,8 +42,10 @@ def test_criterion_2_alternating_series_signs(switch, switch_series, switch_meas
     for series in switch_series:
         ratios = []
         for k, link in enumerate(series.links):
-            f = q.t_value if link == "H-coupled" else q.t_value_vertical
-            ratios.append(f(series.terms[k], switch) / f(series.terms[k + 1], switch))
+            pair, walk = series.terms[k : k + 2], switch
+            if link == "V-coupled":
+                pair, walk = [t.transpose() for t in pair], switch.transpose()
+            ratios.append(q.t_value(pair[0], walk) / q.t_value(pair[1], walk))
         # Strict sign: every ratio of consecutive T values must be positive
         # from some index on, and that index must come early.
         bad = [k for k, r in enumerate(ratios) if not r > 0.0]

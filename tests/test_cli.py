@@ -168,6 +168,17 @@ def test_construct_rejects_non_positive_tol(capsys, tol):
     assert f"tol = {float(tol)}" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_verify_rejects_tol_not_positive_and_finite(capsys, tmp_path, tol):
+    # --tol inf would pass any measure; nan, 0 and -1 would fail every one.
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps([{"rho": 0.5, "sigma": 0.5, "alpha": 1.0}]))
+    code, out, err = run_cli(capsys, "verify", "switch_fig7", str(measure), "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert f"tol = {float(tol)}" in json.loads(err)["error"]
+
+
 def test_build_series_rejects_non_finite_tol(switch, switch_seeds):
     seed = (switch_seeds[0].x, switch_seeds[0].y)
     for tol in (0.0, -1.0, float("nan"), float("inf")):

@@ -7,13 +7,8 @@ import pytest
 
 import qpwalk as q
 from qpwalk import presets
-from qpwalk.compensation import (
-    companion_h_status,
-    companion_v_status,
-    t_value,
-    t_value_vertical,
-)
-from qpwalk.curve import x_quadratic, y_quadratic
+from qpwalk.compensation import companion_v_status, t_value
+from qpwalk.curve import y_quadratic
 from qpwalk.errors import (
     EmptyComponent,
     IllConditioned,
@@ -50,14 +45,14 @@ def test_t_value_at_one_one_is_vertical_drift():
         spec = random_walk(rng)
         d = q.drift(spec)
         assert t_value((1.0, 1.0), spec) == pytest.approx(d.my, abs=1e-15)
-        assert t_value_vertical((1.0, 1.0), spec) == pytest.approx(d.mx, abs=1e-15)
+        assert t_value((1.0, 1.0), spec.transpose()) == pytest.approx(d.mx, abs=1e-15)
 
 
 def test_t_value_rejects_nonpositive_coordinates(switch):
     with pytest.raises(ValueError):
         t_value((0.0, 0.5), switch)
     with pytest.raises(ValueError):
-        t_value_vertical((0.5, -0.2), switch)
+        t_value((-0.2, 0.5), switch.transpose())
 
 
 # --- companions ---
@@ -65,7 +60,7 @@ def test_t_value_rejects_nonpositive_coordinates(switch):
 
 def test_companion_values_at_switch_seeds(switch, switch_seeds):
     h, v = switch_seeds
-    st = companion_h_status(q.WeightedTerm(h.x, h.y, 1.0), switch)
+    st = companion_v_status(q.WeightedTerm(h.x, h.y, 1.0).transpose(), switch.transpose())
     assert st.status == "ok"
     assert st.value == pytest.approx(0.036842571570369596, rel=1e-10)
     st = companion_v_status(q.WeightedTerm(v.x, v.y, 1.0), switch)
@@ -88,9 +83,9 @@ def test_companion_double_root_at_corners(switch):
     A, B, _ = y_quadratic(ker, rep.x_r)
     corner = q.WeightedTerm(rep.x_r, -B / (2 * A), 1.0)
     assert companion_v_status(corner, switch).status == "double-root"
-    A, B, _ = x_quadratic(ker, rep.y_t)
+    A, B, _ = y_quadratic(q.kernel(switch.transpose()), rep.y_t)
     corner = q.WeightedTerm(-B / (2 * A), rep.y_t, 1.0)
-    assert companion_h_status(corner, switch).status == "double-root"
+    assert companion_v_status(corner.transpose(), switch.transpose()).status == "double-root"
 
 
 def test_companion_vieta_product(switch, switch_series):
@@ -120,7 +115,7 @@ def test_companion_requires_on_curve_input(switch):
 def test_companion_preserves_coefficient(switch, switch_series):
     term = switch_series[0].terms[0]
     scaled = q.WeightedTerm(term.rho, term.sigma, -2.5)
-    st = companion_h_status(scaled, switch)
+    st = companion_v_status(scaled.transpose(), switch.transpose())
     assert st.term.alpha == -2.5
 
 
@@ -132,7 +127,7 @@ def test_ratio_requires_shared_coordinate(switch, switch_series):
     # this pair shares sigma, not rho
     with pytest.raises(MixedGroup):
         q.coefficient_ratio_h((t1, t2), switch)
-    assert q.coefficient_ratio_v((t1, t2), switch) < 0
+    assert q.coefficient_ratio_h((t1.transpose(), t2.transpose()), switch.transpose()) < 0
 
 
 def test_series_coefficients_follow_ratios(switch, switch_series):
@@ -142,7 +137,7 @@ def test_series_coefficients_follow_ratios(switch, switch_series):
             ratio = (
                 q.coefficient_ratio_h((t1, t2), switch)
                 if link == "H-coupled"
-                else q.coefficient_ratio_v((t1, t2), switch)
+                else q.coefficient_ratio_h((t1.transpose(), t2.transpose()), switch.transpose())
             )
             assert t2.alpha == pytest.approx(ratio * t1.alpha, rel=1e-12)
 

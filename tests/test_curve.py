@@ -11,11 +11,9 @@ import qpwalk as q
 from qpwalk.curve import (
     boundary_h,
     boundary_v,
-    disc_x_coeffs,
     disc_y_coeffs,
     quartic_real_roots,
     real_roots,
-    x_quadratic,
     y_quadratic,
 )
 from qpwalk.errors import ComplexRoots, EmptyComponent, InconsistentSingularity
@@ -97,17 +95,18 @@ def test_quadratic_sections_reproduce_kernel(x, y):
     A, B, C = y_quadratic(ker, x)
     direct = ker.value(x, y)
     assert A * y * y + B * y + C == pytest.approx(direct, abs=1e-13 * ker.scale)
-    A2, B2, C2 = x_quadratic(ker, y)
+    A2, B2, C2 = y_quadratic(q.kernel(spec.transpose()), y)
     assert A2 * x * x + B2 * x + C2 == pytest.approx(direct, abs=1e-13 * ker.scale)
 
 
-def test_x_quadratic_is_y_quadratic_of_transpose():
+def test_transposed_walk_kernel_is_transposed_kernel():
+    # build_series and necessary_conditions build the transposed walk's
+    # kernel as KernelPoly(ker.c.T), so the two must agree bit for bit.
     rng = np.random.default_rng(24)
-    spec = random_walk(rng)
-    for z in (0.1, 0.6, 1.0):
-        a = x_quadratic(q.kernel(spec), z)
-        b = y_quadratic(q.kernel(spec.transpose()), z)
-        assert a == pytest.approx(b, abs=1e-15)
+    specs = [q.presets.load(name) for name in PRESET_NAMES]
+    specs += [random_walk(rng) for _ in range(20)]
+    for spec in specs:
+        assert np.array_equal(q.kernel(spec.transpose()).c, q.kernel(spec).c.T)
 
 
 # --- discriminants ---
@@ -124,11 +123,12 @@ def test_disc_matches_pointwise_evaluation():
     spec = random_walk(rng)
     ker = q.kernel(spec)
     dy = disc_y_coeffs(ker)
-    dx = disc_x_coeffs(ker)
+    ker_t = q.kernel(spec.transpose())
+    dx = disc_y_coeffs(ker_t)
     for z in np.linspace(0.05, 1.4, 7):
         A, B, C = y_quadratic(ker, z)
         assert np.polyval(dy[::-1], z) == pytest.approx(B * B - 4 * A * C, rel=1e-12, abs=1e-14)
-        A, B, C = x_quadratic(ker, z)
+        A, B, C = y_quadratic(ker_t, z)
         assert np.polyval(dx[::-1], z) == pytest.approx(B * B - 4 * A * C, rel=1e-12, abs=1e-14)
 
 

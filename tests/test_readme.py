@@ -1,6 +1,8 @@
 """The README's examples run as written and print what they promise."""
 
+import ast
 import contextlib
+import inspect
 import io
 import json
 import re
@@ -47,3 +49,17 @@ def test_every_library_name_in_the_readme_exists():
     names = set(re.findall(r"\bq\.(\w+)", README))
     assert names
     assert sorted(n for n in names if not hasattr(q, n)) == []
+
+
+def test_every_exported_function_is_used_or_in_the_readme():
+    # A function the package never calls and the README never names is a
+    # leftover, such as a hand-written vertical twin of a horizontal one.
+    called = set()
+    for path in Path(q.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    named = set(re.findall(r"\bq\.(\w+)", README))
+    functions = {n for n in q.__all__ if inspect.isfunction(getattr(q, n))}
+    assert sorted(functions - called - named) == []
