@@ -12,7 +12,6 @@ from .compensation import (
     build_series,
     coefficient_ratio_h,
     companion_v,
-    eligible,
     t_value,
 )
 from .curve import (
@@ -52,6 +51,7 @@ from .model import (
     ValidationIssue,
     WalkSpec,
     drift,
+    eligible,
     ensure_valid,
     from_switch,
     singular_class,

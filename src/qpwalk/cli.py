@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import presets
-from .compensation import assemble_measure, build_series, eligible
+from .compensation import assemble_measure, build_series
 from .curve import branch_points, curve_boundary_intersections, detect_singularity, trace_qplus
 from .errors import (
     InvalidRouting,
@@ -29,7 +29,7 @@ from .errors import (
     QpwalkError,
     SingularWalk,
 )
-from .model import WalkSpec, drift, from_switch, singular_class, validate
+from .model import WalkSpec, drift, eligible, ensure_valid, from_switch, singular_class
 from .oracle import balance_residuals, compare, truncated_stationary
 from .terms import GammaSet, maximal_partitions
 
@@ -101,11 +101,7 @@ def _load_json(path: str):
 
 
 def _load_walk(path: str) -> WalkSpec:
-    spec = WalkSpec.from_dict(_load_json(path))
-    issues = validate(spec)
-    if issues:
-        raise InvalidWalk(issues)
-    return spec
+    return ensure_valid(WalkSpec.from_dict(_load_json(path)))
 
 
 def _load_gamma(path: str) -> GammaSet:
@@ -198,10 +194,8 @@ def _cmd_verify(args) -> int:
     gamma = _load_gamma(args.measure)
     report = balance_residuals(spec, gamma, window=args.window)
     if args.oracle_n:
-        core = min(8, args.oracle_n - 10)
-        if core < 0:
-            return _fail(2, f"--oracle-n {args.oracle_n} leaves no comparison core")
         oracle = truncated_stationary(spec, args.oracle_n)
+        core = min(8, args.oracle_n - 10)
         report = report.with_oracle_error(compare(gamma, oracle, core))
     passed = report.worst <= args.tol
     doc = {

@@ -29,14 +29,13 @@ from .errors import (
     OffCurve,
     StalledAtBranchPoint,
 )
-from .model import OFFSETS, WalkSpec
+from .model import OFFSETS, WalkSpec, eligible
 from .oracle import _grid_residuals, balance_residuals
-from .terms import GammaSet, WeightedTerm, _merge_terms, _term_sum
+from .terms import GammaSet, WeightedTerm, _close, _merge_terms, _term_sum
 
 SEED_RESIDUAL_TOL = 1e-10
 SERIES_RESIDUAL_TOL = 1e-12
-DOUBLE_TOL = 1e-12       # companion equal to the source root
-SHARED_COORD_TOL = 1e-9
+DOUBLE_TOL = 1e-12       # exits-u margin: a companion at or above 1 - this leaves U
 T_DEGENERACY_TOL = 1e-14
 DIVERGENCE_GRACE = 4
 DOUBLE_ROOT_SEP = 1e-8
@@ -51,16 +50,6 @@ def _coords(term: TermLike) -> tuple[float, float]:
         return float(term.x), float(term.y)
     rho, sigma = term
     return float(rho), float(sigma)
-
-
-def eligible(spec: WalkSpec) -> bool:
-    """Whether the walk admits the compensation construction at all.
-
-    The construction needs the interior east, northeast and north
-    probabilities to vanish; otherwise no countable sum of geometric
-    terms can be invariant.
-    """
-    return spec.p(1, 0) == 0.0 and spec.p(1, 1) == 0.0 and spec.p(0, 1) == 0.0
 
 
 def t_value(term: TermLike, spec: WalkSpec) -> float:
@@ -192,7 +181,7 @@ def _coefficient_ratio(
     t1, t2 = pair
     r1, _ = _coords(t1)
     r2, _ = _coords(t2)
-    if abs(r1 - r2) > SHARED_COORD_TOL * max(abs(r1), abs(r2)):
+    if not _close(r1, r2):
         raise MixedGroup(
             f"pair does not share rho (sigma in the vertical form): {r1} vs {r2}"
         )

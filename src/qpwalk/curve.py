@@ -36,9 +36,8 @@ from .errors import (
     InconsistentSingularity,
     SingularWalk,
 )
-from .model import WalkSpec, drift, singular_class
+from .model import WalkSpec, drift, eligible, singular_class
 
-REAL_IMAG_TOL = 1e-9     # admit an eigenvalue as a real root candidate below this
 UNIT_ROOT_TOL = 1e-8     # |x - 1| below this counts as the unit branch point
 DEGREE_DROP_TOL = 1e-12  # leading coefficient cutoff, relative to max |coeff|
 DOUBLE_ROOT_TOL = 1e-8   # cluster width for multiplicity detection
@@ -561,7 +560,7 @@ def detect_singularity(spec: WalkSpec) -> Optional[tuple[float, float]]:
     """
     ker = kernel(spec)
     c = ker.c
-    symbolic = spec.p(1, 0) == 0.0 and spec.p(1, 1) == 0.0 and spec.p(0, 1) == 0.0
+    symbolic = eligible(spec)
     # Q(0,0) = c00, Qx(0,0) = c10, Qy(0,0) = c01.
     numeric = max(abs(c[0, 0]), abs(c[1, 0]), abs(c[0, 1])) <= 1e-12
     if symbolic != numeric:

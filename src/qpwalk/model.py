@@ -191,6 +191,16 @@ def ensure_valid(spec: WalkSpec) -> WalkSpec:
     return spec
 
 
+def eligible(spec: WalkSpec) -> bool:
+    """Whether the walk admits the compensation construction at all.
+
+    The construction needs the interior east, northeast and north
+    probabilities to vanish; otherwise no countable sum of geometric
+    terms can be invariant.
+    """
+    return spec.p(1, 0) == 0.0 and spec.p(1, 1) == 0.0 and spec.p(0, 1) == 0.0
+
+
 def drift(spec: WalkSpec) -> Drift:
     """Mean horizontal and vertical drift of the interior law."""
     mx = float(spec.interior[2, :].sum() - spec.interior[0, :].sum())

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from .curve import branch_points, kernel
 from .model import OFFSETS, WalkSpec, ensure_valid
 from .terms import GammaSet
 
@@ -379,12 +380,15 @@ def compare(g: GammaSet, oracle: LatticeWindow, core: int) -> float:
     Both are normalized to unit mass over {0..core} squared first; cells
     where the oracle carries less than the mass floor are skipped.  The
     core must sit at least 10 cells inside the truncation so boundary
-    artifacts cannot contaminate the comparison.
+    artifacts cannot contaminate the comparison, and must hold at least
+    one cell beside the origin, or both normalize to one and always agree.
     """
     if oracle.n - core < 10:
         raise ValueError(
             f"core {core} too close to truncation {oracle.n}, need margin >= 10"
         )
+    if core < 1:
+        raise ValueError(f"core {core} of truncation {oracle.n} is below 1, need n >= 11")
     pi = oracle.core(core)
     idx = np.arange(core + 1)
     I, J = np.meshgrid(idx, idx, indexing="ij")
@@ -427,8 +431,6 @@ def convexity_check(
     this region is what forces the coordinates of any infinite geometric
     sum to accumulate at the origin.
     """
-    from .curve import branch_points, kernel
-
     ker = kernel(spec)
     report = branch_points(spec)
 

@@ -1,6 +1,9 @@
 """Bundled example walk files."""
 
+import json
 from importlib import resources
+
+from ..model import WalkSpec
 
 _SUFFIX = ".json"
 
@@ -25,8 +28,4 @@ def text(name: str) -> str:
 
 def load(name: str):
     """Preset as a WalkSpec."""
-    import json
-
-    from ..model import WalkSpec
-
     return WalkSpec.from_dict(json.loads(text(name)))

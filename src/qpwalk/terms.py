@@ -11,34 +11,34 @@ structural conditions any genuinely infinite sum of geometrics must meet.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .curve import ONCURVE_TOL, U_MARGIN, KernelPoly, boundary_h, kernel
 from .errors import EmptyComponent, MixedGroup
 from .model import WalkSpec
 
 COUPLE_TOL = 1e-9  # relative tolerance for two coordinates counting as equal
 
 
-def _close(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol * max(abs(a), abs(b))
+def _close(a: float, b: float) -> bool:
+    """Whether two coordinates count as one: the coupling rule of a term set."""
+    return abs(a - b) <= COUPLE_TOL * max(abs(a), abs(b))
 
 
 class _RhoIndex:
     """Items kept sorted by a rho, found by a window around another rho.
 
-    For positive values ``_close(a, b, tol)`` bounds b to
-    ``[a (1 - tol), a / (1 - tol)]``; ``near`` returns every item whose
-    rho lies in that window widened by a relative 1e-12, so rounding
-    cannot drop one, and callers apply ``_close`` to what it returns.
+    For positive values ``_close(a, b)`` bounds b to ``[a (1 - COUPLE_TOL),
+    a / (1 - COUPLE_TOL)]``; ``near`` returns every item whose rho lies in
+    that window widened by a relative 1e-12, so rounding cannot drop one,
+    and callers apply ``_close`` to what it returns.
     """
 
-    def __init__(self, tol: float):
-        self.tol = tol
+    def __init__(self):
         self.rhos: list[float] = []
         self.items: list = []
 
@@ -49,8 +49,8 @@ class _RhoIndex:
 
     def near(self, rho: float) -> list:
         slack = 1.0 + 1e-12
-        lo = rho * (1.0 - self.tol) / slack
-        hi = rho / (1.0 - self.tol) * slack if self.tol < 1.0 else math.inf
+        lo = rho * (1.0 - COUPLE_TOL) / slack
+        hi = rho / (1.0 - COUPLE_TOL) * slack
         return self.items[bisect_left(self.rhos, lo) : bisect_right(self.rhos, hi)]
 
 
@@ -105,13 +105,12 @@ def _merge_terms(terms: Iterable[WeightedTerm]) -> list:
     A term joins the earliest kept term whose rho and sigma are both close
     to its own; terms whose coefficients cancel exactly are dropped.
     """
-    tol = COUPLE_TOL
     merged: list[WeightedTerm] = []
-    index = _RhoIndex(tol)
+    index = _RhoIndex()
     for t in terms:
         hits = [
             k for k in index.near(t.rho)
-            if _close(merged[k].rho, t.rho, tol) and _close(merged[k].sigma, t.sigma, tol)
+            if _close(merged[k].rho, t.rho) and _close(merged[k].sigma, t.sigma)
         ]
         if hits:
             k = min(hits)
@@ -125,34 +124,32 @@ def _merge_terms(terms: Iterable[WeightedTerm]) -> list:
 
 @dataclass(frozen=True)
 class GammaSet:
-    """A finite collection of weighted terms with a coupling tolerance.
+    """A finite collection of weighted terms.
 
     Coordinates must be positive, coefficients nonzero, and no two terms
-    may agree in both coordinates to within ``tol``.  The duplicate check
-    bisects a rho-sorted index of the earlier terms instead of scanning
-    them all, and rejects exactly the sets such a scan would, at the same
-    term and with the same message.
+    may agree in both coordinates to within ``COUPLE_TOL``.  The duplicate
+    check bisects a rho-sorted index of the earlier terms instead of
+    scanning them all, and rejects exactly the sets such a scan would, at
+    the same term and with the same message.
     """
 
     terms: tuple[WeightedTerm, ...]
-    tol: float = COUPLE_TOL
 
-    def __init__(self, terms: Iterable[WeightedTerm], tol: float = COUPLE_TOL):
+    def __init__(self, terms: Iterable[WeightedTerm]):
         terms = tuple(terms)
         if not terms:
             raise EmptyComponent("a term set needs at least one term")
-        seen = _RhoIndex(tol)
+        seen = _RhoIndex()
         for t in terms:
             if not (t.rho > 0.0 and t.sigma > 0.0):
                 raise ValueError(f"nonpositive coordinates ({t.rho}, {t.sigma})")
             if t.alpha == 0.0:
                 raise ValueError(f"zero coefficient at ({t.rho}, {t.sigma})")
             for r, s in seen.near(t.rho):
-                if _close(t.rho, r, tol) and _close(t.sigma, s, tol):
+                if _close(t.rho, r) and _close(t.sigma, s):
                     raise ValueError(f"duplicate coordinates ({t.rho}, {t.sigma})")
             seen.add(t.rho, (t.rho, t.sigma))
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "tol", tol)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -179,16 +176,14 @@ class GammaSet:
         return total
 
     def to_dict(self) -> dict:
-        return {"terms": [t.to_dict() for t in self.terms], "tol": self.tol}
+        return {"terms": [t.to_dict() for t in self.terms]}
 
     @classmethod
     def from_dict(cls, data) -> "GammaSet":
-        if isinstance(data, dict):
-            items = data["terms"]
-            tol = float(data.get("tol", COUPLE_TOL))
-        else:
-            items, tol = data, COUPLE_TOL
-        return cls((WeightedTerm.from_dict(d) for d in items), tol)
+        """A term set from ``{"terms": [...]}``, ignoring other keys, or
+        from a bare list of terms."""
+        items = data["terms"] if isinstance(data, dict) else data
+        return cls(WeightedTerm.from_dict(d) for d in items)
 
 
 @dataclass(frozen=True)
@@ -233,7 +228,7 @@ def _merge_classes(n: int, links) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(g) for _, g in sorted(groups.items()))
 
 
-def _neighbour_links(values: Sequence[float], tol: float) -> list[tuple[int, int]]:
+def _neighbour_links(values: Sequence[float]) -> list[tuple[int, int]]:
     """Pairs of indexes adjacent in sorted order whose values are close.
 
     For positive a <= b <= c, ``_close(a, c)`` implies ``_close(a, b)`` and
@@ -241,7 +236,7 @@ def _neighbour_links(values: Sequence[float], tol: float) -> list[tuple[int, int
     pairs do.
     """
     order = sorted(range(len(values)), key=values.__getitem__)
-    return [(i, j) for i, j in zip(order, order[1:]) if _close(values[i], values[j], tol)]
+    return [(i, j) for i, j in zip(order, order[1:]) if _close(values[i], values[j])]
 
 
 def maximal_partitions(g: GammaSet) -> PartitionResult:
@@ -254,8 +249,8 @@ def maximal_partitions(g: GammaSet) -> PartitionResult:
     count therefore means exactly these classes.
     """
     n = len(g.terms)
-    same_rho = _neighbour_links([t.rho for t in g.terms], g.tol)
-    same_sigma = _neighbour_links([t.sigma for t in g.terms], g.tol)
+    same_rho = _neighbour_links([t.rho for t in g.terms])
+    same_sigma = _neighbour_links([t.sigma for t in g.terms])
     return PartitionResult(
         h_groups=_merge_classes(n, same_rho),
         v_groups=_merge_classes(n, same_sigma),
@@ -263,14 +258,12 @@ def maximal_partitions(g: GammaSet) -> PartitionResult:
     )
 
 
-def _bh_terms(terms: Sequence[WeightedTerm], tol: float, spec: WalkSpec) -> float:
-    from .curve import boundary_h
-
+def _bh_terms(terms: Sequence[WeightedTerm], spec: WalkSpec) -> float:
     if not terms:
         raise MixedGroup("empty group")
     rho = terms[0].rho
     for t in terms[1:]:
-        if not _close(t.rho, rho, tol):
+        if not _close(t.rho, rho):
             raise MixedGroup(
                 f"shared coordinates {rho} and {t.rho} differ beyond tolerance"
             )
@@ -288,14 +281,14 @@ def bh_sum(g: GammaSet, group: Sequence[int], spec: WalkSpec) -> float:
     MixedGroup
         If the group members do not all share the same rho.
     """
-    return _bh_terms([g.terms[i] for i in group], g.tol, spec)
+    return _bh_terms([g.terms[i] for i in group], spec)
 
 
 def bv_sum(g: GammaSet, group: Sequence[int], spec: WalkSpec) -> float:
     """Vertical boundary balance of a group sharing one sigma: bh_sum of
     the transposed terms in the transposed walk."""
     terms = [g.terms[i].transpose() for i in group]
-    return _bh_terms(terms, g.tol, spec.transpose())
+    return _bh_terms(terms, spec.transpose())
 
 
 @dataclass(frozen=True)
@@ -306,16 +299,15 @@ class OnCurveReport:
     all_in_u: bool
 
 
-def check_on_curve(g: GammaSet, spec: WalkSpec, tol: float = 1e-10) -> OnCurveReport:
-    """Kernel residual and open-unit-square membership of every term.
+def check_on_curve(g: GammaSet, spec: WalkSpec) -> OnCurveReport:
+    """Kernel residual and open-unit-square membership of every term; a
+    term is on the curve when its scaled residual is at most ``ONCURVE_TOL``.
 
     Membership needs a safety margin only at the upper edge, where a
     coordinate within rounding of 1 would make the term non-normalizable;
     arbitrarily small positive coordinates are fine, series accumulate at
     the origin by design.
     """
-    from .curve import U_MARGIN, kernel
-
     ker = kernel(spec)
     residuals = []
     in_u = []
@@ -328,7 +320,7 @@ def check_on_curve(g: GammaSet, spec: WalkSpec, tol: float = 1e-10) -> OnCurveRe
     return OnCurveReport(
         tuple(residuals),
         tuple(in_u),
-        all(r <= tol for r in residuals),
+        all(r <= ONCURVE_TOL for r in residuals),
         all(in_u),
     )
 
@@ -409,8 +401,7 @@ def necessary_conditions(
     With ``claims_infinite`` false only the first two apply; the others
     report None.
     """
-    from .compensation import _companion_v
-    from .curve import KernelPoly, kernel
+    from .compensation import _companion_v  # compensation imports this module
 
     curve_report = check_on_curve(g, spec)
     witnesses: dict = {

@@ -7,7 +7,7 @@ number of terms and it refuses more than twelve.
 from typing import Callable, Optional
 
 from qpwalk.errors import QpwalkError
-from qpwalk.terms import GammaSet, PartitionResult
+from qpwalk.terms import COUPLE_TOL, GammaSet, PartitionResult
 
 
 class TooLarge(QpwalkError):
@@ -77,15 +77,14 @@ def brute_force_partition(g: GammaSet) -> PartitionResult:
     if n > 12:
         raise TooLarge(f"{n} terms exceed the brute-force limit of 12")
     terms = g.terms
-    tol = g.tol
 
     def same_rho(i: int, j: int) -> bool:
-        return abs(terms[i].rho - terms[j].rho) <= tol * max(
+        return abs(terms[i].rho - terms[j].rho) <= COUPLE_TOL * max(
             terms[i].rho, terms[j].rho
         )
 
     def same_sigma(i: int, j: int) -> bool:
-        return abs(terms[i].sigma - terms[j].sigma) <= tol * max(
+        return abs(terms[i].sigma - terms[j].sigma) <= COUPLE_TOL * max(
             terms[i].sigma, terms[j].sigma
         )
 

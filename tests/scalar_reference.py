@@ -12,7 +12,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from qpwalk.errors import EmptyComponent
-from qpwalk.terms import COUPLE_TOL, PartitionResult, WeightedTerm, _close
+from qpwalk.terms import PartitionResult, WeightedTerm, _close
 
 
 def kernel_value(self, x, y):
@@ -39,7 +39,7 @@ def polyval(coeffs, x: float) -> float:
     return float(npoly.polyval(x, coeffs))
 
 
-def gamma_init(self, terms, tol: float = COUPLE_TOL):
+def gamma_init(self, terms):
     """``GammaSet.__init__`` with every earlier term scanned for duplicates."""
     terms = tuple(terms)
     if not terms:
@@ -51,11 +51,10 @@ def gamma_init(self, terms, tol: float = COUPLE_TOL):
         if t.alpha == 0.0:
             raise ValueError(f"zero coefficient at ({t.rho}, {t.sigma})")
         for r, s in seen:
-            if _close(t.rho, r, tol) and _close(t.sigma, s, tol):
+            if _close(t.rho, r) and _close(t.sigma, s):
                 raise ValueError(f"duplicate coordinates ({t.rho}, {t.sigma})")
         seen.append((t.rho, t.sigma))
     object.__setattr__(self, "terms", terms)
-    object.__setattr__(self, "tol", tol)
 
 
 def merge_terms(terms):
@@ -97,13 +96,13 @@ def _merge_classes(n, linked):
 
 
 def maximal_partitions(g):
-    terms, tol, n = g.terms, g.tol, len(g.terms)
+    terms, n = g.terms, len(g.terms)
 
     def same_rho(i, j):
-        return _close(terms[i].rho, terms[j].rho, tol)
+        return _close(terms[i].rho, terms[j].rho)
 
     def same_sigma(i, j):
-        return _close(terms[i].sigma, terms[j].sigma, tol)
+        return _close(terms[i].sigma, terms[j].sigma)
 
     return PartitionResult(
         h_groups=_merge_classes(n, same_rho),

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -254,6 +255,32 @@ def test_verify_fails_on_tiny_threshold(capsys, tmp_path):
     )
     assert code == 1
     assert json.loads(vout)["verdict"] == "fail"
+
+
+def test_construct_file_verifies_and_partitions_at_any_tol(capsys, tmp_path):
+    # The file's "tol" is construct's balance threshold, not a coupling rule.
+    code, out, _ = run_cli(capsys, "construct", "switch_fig7", "--tol", "0.5")
+    assert code == 0
+    measure = tmp_path / "measure.json"
+    measure.write_text(out)
+    code, _, _ = run_cli(
+        capsys, "verify", "switch_fig7", str(measure), "--tol", "1", "--oracle-n", "0"
+    )
+    assert code == 0
+    code, _, _ = run_cli(capsys, "partition", str(measure))
+    assert code == 0
+
+
+@pytest.mark.parametrize("n", [5, 9, 10])
+def test_verify_rejects_oracle_n_below_11(capsys, tmp_path, n):
+    # At n = 10 the core was the origin alone, so any measure compared as 0.
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps({"terms": [{"rho": 0.5, "sigma": 0.5}]}))
+    code, out, err = run_cli(
+        capsys, "verify", "switch_fig7", str(measure), "--oracle-n", str(n)
+    )
+    assert code == 2 and out == ""
+    assert re.search(rf"\b{n}\b", json.loads(err)["error"])
 
 
 def test_verify_accepts_bare_term_list(capsys, tmp_path):

@@ -453,6 +453,13 @@ def test_compare_requires_margin(switch_measure, switch_oracle):
         q.compare(switch_measure.gamma, switch_oracle, core=75)
 
 
+def test_compare_requires_a_core_beyond_the_origin(switch_oracle):
+    # Normalized to unit mass, any two one-cell grids agree exactly.
+    g = q.GammaSet([q.WeightedTerm(0.5, 0.5, 1.0)])
+    with pytest.raises(ValueError, match="core 0"):
+        q.compare(g, switch_oracle, core=0)
+
+
 # --- convexity sampler ---
 
 

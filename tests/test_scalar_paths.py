@@ -114,7 +114,7 @@ def _edge_cases(rng, count=40):
 
 def test_edge_values_straddle_the_tolerance():
     rng = np.random.default_rng(95)
-    verdicts = {_close(a, b, COUPLE_TOL) for a, b in _edge_cases(rng, 5)}
+    verdicts = {_close(a, b) for a, b in _edge_cases(rng, 5)}
     assert verdicts == {True, False}
 
 
@@ -125,9 +125,9 @@ def _outcome(build):
         return type(exc).__name__, str(exc)
 
 
-def _reference_gamma(items, tol=COUPLE_TOL):
+def _reference_gamma(items):
     g = object.__new__(GammaSet)
-    ref.gamma_init(g, items, tol)
+    ref.gamma_init(g, items)
     return g.terms
 
 
@@ -141,10 +141,9 @@ def test_duplicate_scan_matches_pairwise_near_the_edge():
                 [WeightedTerm(a, s), WeightedTerm(b, s2)],
                 [WeightedTerm(b, s2, -1.0), WeightedTerm(0.3, 0.3), WeightedTerm(a, s)],
             ):
-                for tol in (COUPLE_TOL, 0.0):
-                    got = _outcome(lambda: GammaSet(items, tol).terms)
-                    assert got == _outcome(lambda: _reference_gamma(items, tol)), (items, tol)
-                    checked[got[0]] += 1
+                got = _outcome(lambda: GammaSet(items).terms)
+                assert got == _outcome(lambda: _reference_gamma(items)), items
+                checked[got[0]] += 1
     # Both verdicts occur at the edge.
     assert min(checked.values()) > 100
 
@@ -197,8 +196,7 @@ def test_partitions_match_all_pairs(switch_measure):
         items = []
         for _ in range(int(rng.integers(2, 16))):
             t = WeightedTerm(float(rng.choice(rhos)), float(rng.choice(sigmas)))
-            if not any(_close(t.rho, u.rho, 1e-9) and _close(t.sigma, u.sigma, 1e-9)
-                       for u in items):
+            if not any(_close(t.rho, u.rho) and _close(t.sigma, u.sigma) for u in items):
                 items.append(t)
         sets.append(GammaSet(items))
     for g in sets:

@@ -68,10 +68,19 @@ def test_gamma_set_norm_infinite_outside_unit_square():
 
 def test_gamma_set_from_dict_accepts_both_shapes():
     g = terms_of((0.4, 0.6, 1.0), (0.2, 0.3, -1.0))
-    again = q.GammaSet.from_dict(g.to_dict())
-    assert len(again) == 2
+    assert list(g.to_dict()) == ["terms"]
+    assert q.GammaSet.from_dict(g.to_dict()) == g
     bare = q.GammaSet.from_dict([{"rho": 0.4, "sigma": 0.6, "alpha": 1.0}])
     assert len(bare) == 1
+
+
+def test_gamma_set_from_dict_ignores_tol_key():
+    # Terms couple at COUPLE_TOL whatever "tol" the file carries.
+    apart = [{"rho": 0.2, "sigma": 0.3}, {"rho": 0.25, "sigma": 0.3}]
+    assert len(q.GammaSet.from_dict({"terms": apart, "tol": 0.5})) == 2
+    close = [{"rho": 0.2, "sigma": 0.3}, {"rho": 0.2 * (1 + 1e-10), "sigma": 0.3}]
+    with pytest.raises(ValueError, match="duplicate"):
+        q.GammaSet.from_dict({"terms": close, "tol": 0.0})
 
 
 # --- partitions ---
@@ -235,7 +244,7 @@ def test_check_on_curve_product_form():
 
 def test_check_on_curve_flags_upper_edge(switch):
     g = terms_of((1.0 - 1e-12, 0.5, 1.0))
-    rep = q.check_on_curve(g, switch, tol=np.inf)
+    rep = q.check_on_curve(g, switch)
     assert not rep.all_in_u
 
 
