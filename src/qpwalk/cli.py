@@ -36,6 +36,10 @@ from .terms import GammaSet, maximal_partitions
 INPUT_ERRORS = (InvalidWalk, InvalidRouting, SingularWalk, ValueError,
                 KeyError, OSError, json.JSONDecodeError)
 
+# verify compares on the core min(8, n - 10), which must hold a cell
+# beside the origin, so a nonzero --oracle-n must be at least 11.
+ORACLE_N_MIN = 11
+
 
 def _fmt_float(x: float) -> str:
     if math.isnan(x):
@@ -190,6 +194,11 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ValueError(f"tolerance tol = {args.tol} must be positive and finite")
+    if args.oracle_n != 0 and args.oracle_n < ORACLE_N_MIN:
+        raise ValueError(
+            f"--oracle-n {args.oracle_n} is too small: give 0 to skip the oracle "
+            f"or at least {ORACLE_N_MIN}"
+        )
     spec = _load_walk(args.walk)
     gamma = _load_gamma(args.measure)
     report = balance_residuals(spec, gamma, window=args.window)

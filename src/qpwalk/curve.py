@@ -44,6 +44,9 @@ DOUBLE_ROOT_TOL = 1e-8   # cluster width for multiplicity detection
 ONCURVE_TOL = 1e-10
 EQUALITY_TOL = 1e-12     # sub-case boundary p0 = 2*sqrt(pm*pp)
 
+# Kernel terms (a, b) after (0, 0), in the order KernelPoly.value adds them.
+_LATER_TERMS = tuple((a, b) for a in range(3) for b in range(3))[1:]
+
 
 @dataclass(frozen=True)
 class KernelPoly:
@@ -68,23 +71,53 @@ class KernelPoly:
         order, with ``x^2`` formed as ``x * x`` as numpy's ``x**2`` is.
         A float call therefore returns the bits of the matching entry of
         an array call, and of the former form that ran every call through
-        numpy arrays.  Floats give a float, arrays an array.
+        numpy arrays.  An array call forms each term in one buffer and
+        adds it into the total in place: besides ``x * x`` and ``y * y``
+        it allocates those two arrays, where the former form made three
+        per term.  The inputs are only read.  Floats and 0-d arrays give a
+        float, arrays an array.
         """
-        if isinstance(x, (list, tuple)):
+        shape = ()
+        if not (isinstance(x, float) and isinstance(y, float)):
             x = np.asarray(x, dtype=float)
-        if isinstance(y, (list, tuple)):
             y = np.asarray(y, dtype=float)
+            shape = np.broadcast_shapes(x.shape, y.shape)
         xs = (1.0, x, x * x)
         ys = (1.0, y, y * y)
-        total = 0.0
-        for a, row in enumerate(self._coeffs):
-            for b, cab in enumerate(row):
-                total = total + cab * xs[a] * ys[b]
-        return total if isinstance(total, np.ndarray) else float(total)
+        c = self._coeffs
+        # A factor 1.0 changes no bit, so the (0, 0) term is c[0][0] and
+        # the array form skips the factor in the terms with a or b zero.
+        total = 0.0 + c[0][0]
+        if shape:
+            total = np.full(shape, total)
+            term = np.empty(shape)
+        for a, b in _LATER_TERMS:
+            if not shape:
+                total = total + c[a][b] * xs[a] * ys[b]
+                continue
+            np.multiply(c[a][b], xs[a] if a else ys[b], out=term)
+            if a and b:
+                term *= ys[b]
+            total += term
+        return total if shape else float(total)
+
+
+def _per_walk(spec: WalkSpec, name: str, build):
+    """``build(spec)``, computed once per walk and shared by every caller.
+
+    The result is kept in the spec's own ``__dict__``, where
+    ``functools.cached_property`` keeps its values.  A WalkSpec is frozen
+    and its arrays are read-only, so the result cannot go stale.  An error
+    that ``build`` raises is not kept: the next call raises it again.
+    """
+    kept = spec.__dict__
+    if name not in kept:
+        kept[name] = build(spec)
+    return kept[name]
 
 
 def kernel(spec: WalkSpec) -> KernelPoly:
-    """Kernel polynomial of a nonsingular walk.
+    """Kernel polynomial of a nonsingular walk, computed once per WalkSpec.
 
     Raises
     ------
@@ -92,6 +125,10 @@ def kernel(spec: WalkSpec) -> KernelPoly:
         If the walk is singular; the branch-point theory below assumes a
         kernel of full degree in both variables.
     """
+    return _per_walk(spec, "_kernel", _build_kernel)
+
+
+def _build_kernel(spec: WalkSpec) -> KernelPoly:
     sc = singular_class(spec)
     if sc.singular:
         raise SingularWalk(f"{sc.tag}: {sc.reason}")
@@ -397,7 +434,14 @@ def branch_points(spec: WalkSpec) -> BranchPointReport:
     diagonal neighbors.  The corners are the points of the positive
     component where the two y-roots (or x-roots) collide.  The y side is
     computed as the x side of the transposed walk.
+
+    The report is computed once per WalkSpec and shared: the trace, the
+    seeds and the convexity sampler of one walk all read the same one.
     """
+    return _per_walk(spec, "_branch_points", _build_branch_points)
+
+
+def _build_branch_points(spec: WalkSpec) -> BranchPointReport:
     x = _axis_branch_data(spec)
     y = _axis_branch_data(spec.transpose())
     return BranchPointReport(

@@ -462,8 +462,7 @@ def convexity_check(
         u = rng.uniform(lo_u, hi_u, size=batch)
         w = rng.uniform(lo_w, hi_w, size=batch)
         drawn += batch
-        vals = ker.value(np.exp(u), np.exp(w))
-        feasible = vals < 0.0
+        feasible = np.flatnonzero(ker.value(np.exp(u), np.exp(w)) < 0.0)
         pool_u = np.concatenate([pool_u, u[feasible]])
         pool_w = np.concatenate([pool_w, w[feasible]])
         n_pairs = min(pool_u.size // 2, samples - checked)

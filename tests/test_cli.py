@@ -271,16 +271,32 @@ def test_construct_file_verifies_and_partitions_at_any_tol(capsys, tmp_path):
     assert code == 0
 
 
-@pytest.mark.parametrize("n", [5, 9, 10])
+@pytest.mark.parametrize("n", [-3, 1, 5, 8, 9, 10])
 def test_verify_rejects_oracle_n_below_11(capsys, tmp_path, n):
     # At n = 10 the core was the origin alone, so any measure compared as 0.
+    # The check runs before the solve, so one message names the flag, the
+    # value given and the least value the verb accepts.
     measure = tmp_path / "measure.json"
     measure.write_text(json.dumps({"terms": [{"rho": 0.5, "sigma": 0.5}]}))
     code, out, err = run_cli(
         capsys, "verify", "switch_fig7", str(measure), "--oracle-n", str(n)
     )
     assert code == 2 and out == ""
-    assert re.search(rf"\b{n}\b", json.loads(err)["error"])
+    message = json.loads(err)["error"]
+    assert "--oracle-n" in message
+    assert re.search(rf"(?<![\w-]){n}\b", message)
+    assert re.search(r"\b11\b", message)
+
+
+def test_verify_accepts_oracle_n_11(capsys, tmp_path):
+    _, out, _ = run_cli(capsys, "construct", "switch_fig7")
+    measure = tmp_path / "measure.json"
+    measure.write_text(out)
+    code, vout, err = run_cli(
+        capsys, "verify", "switch_fig7", str(measure), "--oracle-n", "11", "--tol", "1"
+    )
+    assert code == 0 and err == ""
+    assert json.loads(vout)["report"]["sup_rel_error"] >= 0.0
 
 
 def test_verify_accepts_bare_term_list(capsys, tmp_path):

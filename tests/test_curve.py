@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qpwalk as q
+from qpwalk.cli import dumps
 from qpwalk.curve import (
     boundary_h,
     boundary_v,
@@ -239,6 +240,58 @@ def test_report_to_dict_round_trips_floats(fig2c):
     d = q.branch_points(fig2c).to_dict()
     assert set(d) >= {"roots_x", "roots_y", "labels", "interval", "corners"}
     assert d["interval"]["x_l"] == pytest.approx(q.branch_points(fig2c).x_l)
+
+
+# --- one geometry per walk ---
+
+
+def _geometry_walks():
+    walks = [q.presets.load(name) for name in PRESET_NAMES]
+    rng = np.random.default_rng(29)
+    walks += [random_walk(rng, forced=k % 2 == 0) for k in range(8)]
+    return walks
+
+
+def test_geometry_is_computed_once_per_walk():
+    for spec in _geometry_walks():
+        report = q.branch_points(spec)
+        assert q.branch_points(spec) is report
+        assert q.kernel(spec) is q.kernel(spec)
+        assert q.trace_qplus(spec, 128).report is report
+
+
+def test_fresh_spec_gives_an_equal_geometry():
+    for spec in _geometry_walks():
+        report, trace = q.branch_points(spec), q.trace_qplus(spec, 256)
+        again = q.WalkSpec(spec.interior, spec.horizontal, spec.vertical)
+        assert q.branch_points(again) is not report
+        assert dumps(q.branch_points(again).to_dict()) == dumps(report.to_dict())
+        assert q.kernel(again).c.tobytes() == q.kernel(spec).c.tobytes()
+        assert q.trace_qplus(again, 256).points.tobytes() == trace.points.tobytes()
+
+
+def test_transpose_keeps_its_own_geometry():
+    for spec in _geometry_walks():
+        report = q.branch_points(spec)
+        flipped = spec.transpose()
+        own = q.branch_points(flipped)
+        assert own is not report and q.branch_points(flipped) is own
+        assert own.roots_x == report.roots_y and own.roots_y == report.roots_x
+        assert q.kernel(flipped).c.tobytes() == q.kernel(spec).c.T.tobytes()
+        assert q.branch_points(spec) is report
+
+
+def test_singular_walk_raises_on_every_call():
+    w = np.zeros((3, 3))
+    w[2] = (0.2, 0.2, 0.1)
+    w[1] = (0.2, 0.1, 0.2)
+    spec = q.WalkSpec(w, w[:, 0] + w[:, 1], w[1] + w[0])
+    calls = (q.kernel, q.branch_points, q.trace_qplus, q.detect_singularity,
+             q.curve_boundary_intersections, q.convexity_check)
+    for _ in range(2):
+        for call in calls:
+            with pytest.raises(q.errors.SingularWalk):
+                call(spec)
 
 
 # --- singularity detection ---

@@ -1,5 +1,6 @@
 """Truncated-chain oracle, residual reports and the convexity sampler."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,10 +9,13 @@ import scipy.sparse as sp
 
 import qpwalk as q
 from qpwalk import oracle as oracle_mod
+from qpwalk.cli import dumps
 from qpwalk.model import OFFSETS
 from qpwalk.oracle import transition_matrix
 
 from conftest import PRESET_NAMES, product_form_walk, random_walk
+import convexity_reference
+from convexity_reference import convexity_check as reference_convexity
 from keep_all_censored import keep_all_censored, loop_gth
 from loop_level_inverse import loop_level_inverse
 from plain_reduction import plain_reduction
@@ -480,3 +484,64 @@ def test_convexity_deterministic(fig2c):
 def test_convexity_report_dict(fig2a):
     d = q.convexity_check(fig2a, samples=200, seed=1).to_dict()
     assert set(d) == {"passed", "checked", "requested", "violations"}
+
+
+def _feasible_share(spec, draws=20_000):
+    """Share of the sampler's log box where Q < 0, from one uniform draw."""
+    report = q.branch_points(spec)
+    clamp = oracle_mod.LOG_CLAMP
+    lo_u, lo_w = (max(math.log(v), clamp) if v > 0.0 else clamp for v in (report.x_l, report.y_b))
+    hi_u, hi_w = (min(0.0, math.log(v)) for v in (report.x_r, report.y_t))
+    rng = np.random.default_rng(0)
+    u, w = rng.uniform(lo_u, hi_u, draws), rng.uniform(lo_w, hi_w, draws)
+    return float(np.mean(q.kernel(spec).value(np.exp(u), np.exp(w)) < 0.0))
+
+
+def test_convexity_matches_reference_sampler():
+    # The presets and criterion 8's walks at their seeds and at seed 0.
+    specs = [q.presets.load(name) for name in PRESET_NAMES]
+    rng = np.random.default_rng(31)
+    specs += [random_walk(rng, neg_drift=True) for _ in range(20)]
+    # A thin region: at most 15% of the box is feasible, so the pool
+    # carries points across at least five batches.
+    rng = np.random.default_rng(31)
+    thin = min((random_walk(rng, forced=True) for _ in range(40)), key=_feasible_share)
+    assert _feasible_share(thin) <= 0.15
+    specs.append(thin)
+    for i, spec in enumerate(specs):
+        for seed in (0, 1000 + i):
+            got = q.convexity_check(spec, samples=10_000, seed=seed).to_dict()
+            want = reference_convexity(spec, samples=10_000, seed=seed).to_dict()
+            assert dumps(got) == dumps(want), (i, seed)
+            assert got["checked"] == 10_000, (i, seed)
+    # Odd sample counts leave points in the pool between batches.
+    for samples in (1, 3, 257, 4099):
+        for spec in specs[:5] + [thin]:
+            got = q.convexity_check(spec, samples=samples, seed=samples)
+            assert dumps(got.to_dict()) == dumps(reference_convexity(spec, samples, samples).to_dict())
+
+
+def test_convexity_matches_reference_when_nothing_is_feasible():
+    # The second free walk of default_rng(31) drifts away from the origin:
+    # no draw is feasible, so both samplers stop at the draw cap.
+    rng = np.random.default_rng(31)
+    spec = [random_walk(rng) for _ in range(2)][-1]
+    got = q.convexity_check(spec, samples=2000, seed=5)
+    assert got.checked == 0 and not got.passed
+    assert dumps(got.to_dict()) == dumps(reference_convexity(spec, 2000, 5).to_dict())
+
+
+def test_convexity_matches_reference_on_a_nonconvex_set(monkeypatch, fig2c):
+    # Q = 0.001 - (x - 1/2)^2 (y - 1/2)^2 is negative off a cross through
+    # (1/2, 1/2), a set that is not convex, so both reports list violations
+    # with the coordinates of each pair: the draws and their pairing match.
+    px = np.array([0.25, -1.0, 1.0])
+    c = -np.outer(px, px)
+    c[0, 0] += 1e-3
+    cross = q.KernelPoly(c)
+    monkeypatch.setattr(oracle_mod, "kernel", lambda spec: cross)
+    monkeypatch.setattr(convexity_reference, "kernel", lambda spec: cross)
+    for samples, seed in ((10_000, 0), (257, 3), (4099, 11)):
+        got = q.convexity_check(fig2c, samples=samples, seed=seed)
+        assert not got.passed and len(got.violations) >= 5
+        assert dumps(got.to_dict()) == dumps(reference_convexity(fig2c, samples, seed).to_dict())

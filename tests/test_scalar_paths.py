@@ -6,7 +6,7 @@ import json
 import numpy as np
 
 import qpwalk as q
-from qpwalk import curve, terms
+from qpwalk import cli, curve, terms
 from qpwalk.cli import main
 from qpwalk.compensation import _merge_terms
 from qpwalk.terms import COUPLE_TOL, GammaSet, WeightedTerm, _close
@@ -51,6 +51,22 @@ def test_kernel_value_matches_reference_on_scalars_and_arrays():
         assert _bytes([ker.value(x, y) for x, y in pts]) == _bytes(ker.value(xs, ys)), name
         grid = ker.value(xs[:, None], ys[None, :])
         assert _bytes(grid) == _bytes(ref.kernel_value(ker, xs[:, None], ys[None, :])), name
+        # Large arrays, float with array in both orders, an (n, 1) by (m,)
+        # grid and 0-d arrays; the inputs are only read.
+        big_x, big_y = np.exp(rng.uniform(np.log(1e-6), 0.5, (2, 20_000)))
+        x0, y0 = np.array(pts[0][0]), np.array(pts[0][1])
+        cases = [
+            (big_x, big_y), (big_x, 0.37), (0.37, big_y), (float(xs[1]), ys), (xs, float(ys[1])),
+            (xs[:, None], ys[:7]), (big_x[:40, None], big_y[:300]), (x0, y0), (x0, ys), (xs, y0),
+        ]
+        for x, y in cases:
+            before = [np.array(v, copy=True) for v in (x, y)]
+            got = ker.value(x, y)
+            want = ref.kernel_value(ker, x, y)
+            assert type(got) is type(want), name
+            assert np.shape(got) == np.shape(want) and _bytes(got) == _bytes(want), name
+            for v, old in zip((x, y), before):
+                assert _bytes(v) == _bytes(old), name
 
 
 def test_y_quadratic_matches_reference():
@@ -224,6 +240,20 @@ def test_construct_bytes_match_reference_bodies(tmp_path, capsys, monkeypatch):
     with monkeypatch.context() as m:
         ref.patch_all(m)
         assert curve.KernelPoly.value is ref.kernel_value
+        # Each walk's geometry is computed under the patch, on a spec that
+        # has none yet, so the reference bodies are the ones that run.
+        loaded = []
+
+        def load_walk(path):
+            spec = load(path)
+            assert not set(spec.__dict__) & {"_kernel", "_branch_points"}
+            loaded.append(spec)
+            return spec
+
+        load = cli._load_walk
+        m.setattr(cli, "_load_walk", load_walk)
         reference = run_all()
+        assert len(loaded) == len(walks)
+        assert all({"_kernel", "_branch_points"} <= set(s.__dict__) for s in loaded)
     assert shipped == reference
     assert sum(code == 0 for code, _, _ in shipped) >= 10
