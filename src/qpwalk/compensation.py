@@ -35,7 +35,6 @@ from .terms import GammaSet, WeightedTerm, _close, _merge_terms, _term_sum
 
 SEED_RESIDUAL_TOL = 1e-10
 SERIES_RESIDUAL_TOL = 1e-12
-DOUBLE_TOL = 1e-12       # exits-u margin: a companion at or above 1 - this leaves U
 T_DEGENERACY_TOL = 1e-14
 DIVERGENCE_GRACE = 4
 DOUBLE_ROOT_SEP = 1e-8
@@ -143,7 +142,7 @@ def _companion_v(term: TermLike, ker: KernelPoly) -> CompanionStatus:
         abs(sigma), abs(other)
     ):
         return CompanionStatus(None, "double-root", other)
-    if not math.isfinite(other) or other >= 1.0 - DOUBLE_TOL:
+    if not math.isfinite(other) or other >= 1.0 - U_MARGIN:
         return CompanionStatus(None, "exits-u", other)
     if other <= 0.0:
         return CompanionStatus(None, "nonpositive", other)

@@ -28,7 +28,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     ComplexRoots,
@@ -199,7 +198,7 @@ def real_roots(coeffs: np.ndarray) -> tuple[list[float], int]:
     eigs = np.linalg.eigvals(companion)
 
     poly = coeffs[: deg + 1].tolist()
-    deriv = npoly.polyder(coeffs[: deg + 1]).tolist()
+    deriv = [j * c for j, c in enumerate(poly)][1:]  # numpy's polyder products
     roots: list[float] = []
     for z in eigs:
         # Double roots perturb into conjugate pairs with |Im| ~ sqrt(eps),
@@ -207,7 +206,8 @@ def real_roots(coeffs: np.ndarray) -> tuple[list[float], int]:
         if abs(z.imag) > 1e-5 * max(1.0, abs(z)):
             continue
         r = float(z.real)
-        for _ in range(60):
+        order = [r]  # order[i] is r after i steps
+        for i in range(1, 61):
             fr = _polyval(poly, r)
             dr = _polyval(deriv, r)
             if dr == 0.0:
@@ -218,6 +218,13 @@ def real_roots(coeffs: np.ndarray) -> tuple[list[float], int]:
             r -= step
             if abs(step) <= 1e-16 * max(1.0, abs(r)):
                 break
+            # Each step depends on r alone, so a repeated nonzero r (0.0 ==
+            # -0.0) cycles from here: take the value step 60 would reach.
+            if r and r in order:
+                j = order.index(r)
+                r = order[j + (60 - i) % (i - j)]
+                break
+            order.append(r)
         residual = abs(_polyval(poly, r))
         if residual <= 1e-9 * scale * max(1.0, abs(r)) ** deg:
             roots.append(r)
@@ -581,9 +588,10 @@ def trace_qplus(spec: WalkSpec, n_points: int = 2048) -> QPlusTrace:
         raise EmptyComponent("all sampled points failed the on-curve residual")
     points[:n_low, 0], points[:n_low, 1] = x_low, lower[ok_low]
     points[n_low:, 0], points[n_low:, 1] = x_up, upper[ok_up][::-1]
-    arcs = np.where(x_low <= x_b, "Q00", "Q10").tolist()
-    arcs += np.where(x_up >= x_t, "Q11", "Q01").tolist()
-    return QPlusTrace(points, tuple(arcs), report)
+    # x_low ascends and x_up descends, so each arc is a run of the loop.
+    n00, n11 = np.count_nonzero(x_low <= x_b), np.count_nonzero(x_up >= x_t)
+    arcs = ("Q00",) * n00 + ("Q10",) * (n_low - n00) + ("Q11",) * n11 + ("Q01",) * (x_up.size - n11)
+    return QPlusTrace(points, arcs, report)
 
 
 def detect_singularity(spec: WalkSpec) -> Optional[tuple[float, float]]:

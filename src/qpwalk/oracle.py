@@ -103,9 +103,9 @@ def transition_matrix(spec: WalkSpec, n: int) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(N * N, N * N))
 
 
-# Largest block _escape_inverse eliminates column by column; larger ones
-# it splits in two.  The sweep in BENCH_level_inverse.json is flat from 16
-# to 64 rows within the host's noise; at 32, N = 161 splits three times.
+# Largest block _escape_inverse inverts in one Gauss-Jordan sweep; larger
+# ones it splits in two.  In BENCH_gauss_jordan_leaf.json the sweep is flat
+# from 16 to 32 rows and slower at 40 and 48; at 32, N = 161 splits three times.
 _LEAF = 32
 
 
@@ -146,12 +146,13 @@ def _escape_inverse(W: np.ndarray, escape: np.ndarray) -> np.ndarray:
     e1 + W12 1, since mass into block 2 leaves block 1.  The complement
     S = W22 + W21 X11 W12 gets escape e2 + W21 X11 e1, the mass that leaves
     through block 1; with Y its inverse, X = [X11 + X11 W12 Y W21 X11,
-    X11 W12 Y; Y W21 X11, Y].  A smaller block is eliminated without
-    pivoting, carrying the escape mass along: each pivot is the mass its
-    row still sends elsewhere, as in state reduction (Grassmann-Taksar-
-    Heyman), and the two non-negative triangular factors of the M-matrix
-    I - W are inverted by substitution.  Every step adds, multiplies or
-    divides non-negative numbers, so each entry keeps full relative
+    X11 W12 Y; Y W21 X11, Y].  A smaller block is inverted by one
+    Gauss-Jordan sweep without pivoting, carrying the escape mass along:
+    pivot k is the mass row k still sends to the states not yet eliminated
+    plus its escape, as in state reduction (Grassmann-Taksar-Heyman),
+    every other row adds its share of row k, and each row of the inverse
+    is divided by its pivot once, at the end.  Every step adds, multiplies
+    or divides non-negative numbers, so each entry keeps full relative
     accuracy.
     """
     m = W.shape[0]
@@ -167,26 +168,18 @@ def _escape_inverse(W: np.ndarray, escape: np.ndarray) -> np.ndarray:
         X[h:, :h] = Y @ Q
         X[h:, h:] = Y
         return X
-    # Column m carries the escape, so one rank-1 update moves both; W's
-    # diagonal is never read.
-    A = np.empty((m, m + 1))
-    A[:, :m], A[:, m] = W, escape
+    # Gauss-Jordan on [W | escape | I]; at step k row k can be nonzero only
+    # in columns k+1 .. m+1+k: later states, the escape, X's first k+1.
+    A = np.hstack([W, escape[:, None], np.eye(m)])
     pivot = np.empty(m)
     for k in range(m):
-        pivot[k] = A[k, k + 1 : m].sum() + A[k, m]
-        A[k + 1 :, k] /= pivot[k]
-        A[k + 1 :, k + 1 :] += A[k + 1 :, k, None] * A[k, k + 1 :]
-    # I - W = (I - L)(diag(pivot) - R), L and R the parts of A below and
-    # above its diagonal; invert each factor by substitution.
-    lower = np.eye(m)
-    for k in range(1, m):
-        np.dot(A[k, :k], lower[:k, :k], out=lower[k, :k])
-    upper = np.diag(1.0 / pivot)
-    for k in range(m - 2, -1, -1):
-        row = upper[k, k + 1 :]
-        np.dot(A[k, k + 1 : m], upper[k + 1 :, k + 1 :], out=row)
-        row /= pivot[k]
-    return upper @ lower
+        cols = A[:, k + 1 : m + 2 + k]
+        row = cols[k]
+        pivot[k] = row[: m - 1 - k].sum() + row[m - 1 - k]
+        factor = A[:, k, None] / pivot[k]
+        factor[k] = 0.0
+        cols += factor * row
+    return A[:, m + 1 :] / pivot[:, None]
 
 
 def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:

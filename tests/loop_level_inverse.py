@@ -1,9 +1,12 @@
 """Column-by-column level inverse, the reference for ``qpwalk.oracle``'s.
 
 ``loop_level_inverse`` eliminates and substitutes one column per step on
-the whole block, the form the shipped blocked inverse uses only for its
-leaves.  Both are subtraction-free, so they must agree componentwise to
-rounding, and exactly on blocks no larger than a leaf.
+the whole block: an LU factorization without pivoting, each pivot the
+mass its row still sends elsewhere, and the two triangular factors
+inverted by substitution.  It shares no step with the shipped blocked
+inverse, whose leaves run one Gauss-Jordan sweep instead.  Both are
+subtraction-free, so they must agree componentwise to rounding at every
+size, leaves included.
 """
 
 import numpy as np

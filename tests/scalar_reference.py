@@ -1,17 +1,19 @@
 """Reference bodies for the construct path's scalar and term-set code.
 
 These are the numpy and all-pairs forms that the shipped code replaced:
-kernel arithmetic on 0-d arrays, ``numpy.polynomial`` evaluation, a
-pairwise duplicate scan, a pairwise merge of assembled terms, classes
-from every pair of terms and term sums added one term at a time.  The
-shipped code must give their bytes.  Each function keeps the name and
-signature of what it stands in for, so a test can monkeypatch it in.
+kernel arithmetic on 0-d arrays, ``numpy.polynomial`` evaluation, real
+roots polished through all 60 Newton steps, a pairwise duplicate scan, a
+pairwise merge of assembled terms, classes from every pair of terms and
+term sums added one term at a time.  The shipped code must give their
+bytes.  Each function keeps the name and signature of what it stands in
+for, so a test can monkeypatch it in.
 """
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from qpwalk.errors import EmptyComponent
+from qpwalk.curve import DEGREE_DROP_TOL
+from qpwalk.errors import ComplexRoots, EmptyComponent
 from qpwalk.terms import PartitionResult, WeightedTerm, _close
 
 
@@ -37,6 +39,51 @@ def y_quadratic(ker, x):
 
 def polyval(coeffs, x: float) -> float:
     return float(npoly.polyval(x, coeffs))
+
+
+def real_roots(coeffs, steps=None):
+    """``curve.real_roots`` with ``numpy.polynomial``'s derivative and no
+    cycle test: a root whose Newton iterates cycle runs all 60 steps.
+    The step count of each candidate is appended to ``steps`` if given."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    scale = float(np.abs(coeffs).max())
+    if scale == 0.0:
+        raise ComplexRoots("identically zero polynomial")
+    deg = coeffs.size - 1
+    n_inf = 0
+    while deg > 0 and abs(coeffs[deg]) < DEGREE_DROP_TOL * scale:
+        deg -= 1
+        n_inf += 1
+    if deg == 0:
+        return [], n_inf
+    monic = coeffs[: deg + 1] / coeffs[deg]
+    companion = np.zeros((deg, deg))
+    companion[1:, :-1] = np.eye(deg - 1)
+    companion[:, -1] = -monic[:deg]
+    poly = coeffs[: deg + 1]
+    deriv = npoly.polyder(poly)
+    roots = []
+    for z in np.linalg.eigvals(companion):
+        if abs(z.imag) > 1e-5 * max(1.0, abs(z)):
+            continue
+        r = float(z.real)
+        for k in range(60):
+            fr = polyval(poly, r)
+            dr = polyval(deriv, r)
+            if dr == 0.0:
+                break
+            step = fr / dr
+            if abs(step) > 1.0 + abs(r):
+                break
+            r -= step
+            if abs(step) <= 1e-16 * max(1.0, abs(r)):
+                break
+        if steps is not None:
+            steps.append(k + 1)
+        if abs(polyval(poly, r)) <= 1e-9 * scale * max(1.0, abs(r)) ** deg:
+            roots.append(r)
+    roots.sort()
+    return roots, n_inf
 
 
 def gamma_init(self, terms):
@@ -129,6 +176,7 @@ def patch_all(monkeypatch):
     monkeypatch.setattr(curve, "y_quadratic", y_quadratic)
     monkeypatch.setattr(compensation, "y_quadratic", y_quadratic)
     monkeypatch.setattr(curve, "_polyval", polyval)
+    monkeypatch.setattr(curve, "real_roots", real_roots)
     monkeypatch.setattr(terms.GammaSet, "__init__", gamma_init)
     monkeypatch.setattr(compensation, "_merge_terms", merge_terms)
     monkeypatch.setattr(compensation, "_term_sum", term_sum)

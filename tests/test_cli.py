@@ -187,14 +187,16 @@ def test_build_series_rejects_non_finite_tol(switch, switch_seeds):
             q.build_series(switch, seed, tol=tol)
 
 
-# --- start-up: no scipy on the CLI path ---
+# --- start-up: no scipy or numpy.polynomial on the CLI path ---
 
 
-def _scipy_after(code, *argv):
-    """scipy modules loaded once ``code`` has run in a fresh interpreter."""
+def _heavy_modules_after(code, *argv):
+    """scipy and numpy.polynomial modules loaded once ``code`` has run in a
+    fresh interpreter."""
     probe = (
         "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
+        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'"
+        " or m.startswith('numpy.polynomial'))))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code + probe, *argv], capture_output=True, text=True
@@ -204,7 +206,7 @@ def _scipy_after(code, *argv):
 
 
 def test_import_loads_no_scipy():
-    assert _scipy_after("import qpwalk") == []
+    assert _heavy_modules_after("import qpwalk") == []
 
 
 def test_construct_and_verify_load_no_scipy(tmp_path):
@@ -214,13 +216,17 @@ def test_construct_and_verify_load_no_scipy(tmp_path):
         "assert main(['construct', 'switch_fig7', '-o', sys.argv[1]]) == 0\n"
         "assert main(['verify', 'switch_fig7', sys.argv[1]]) == 0"
     )
-    assert _scipy_after(code, str(tmp_path / "measure.json")) == []
+    assert _heavy_modules_after(code, str(tmp_path / "measure.json")) == []
 
 
 def test_transition_matrix_loads_scipy_sparse():
     # the probe above sees scipy when it is loaded
     code = "import qpwalk as q\nq.transition_matrix(q.presets.load('fig2a'), 8)"
-    assert "scipy.sparse" in _scipy_after(code)
+    assert "scipy.sparse" in _heavy_modules_after(code)
+
+
+def test_probe_sees_numpy_polynomial():
+    assert "numpy.polynomial" in _heavy_modules_after("import numpy.polynomial")
 
 
 # --- verify ---

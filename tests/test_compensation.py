@@ -7,8 +7,8 @@ import pytest
 
 import qpwalk as q
 from qpwalk import presets
-from qpwalk.compensation import companion_v_status, t_value
-from qpwalk.curve import y_quadratic
+from qpwalk.compensation import _companion_v, companion_v_status, t_value
+from qpwalk.curve import U_MARGIN, KernelPoly, y_quadratic
 from qpwalk.errors import (
     EmptyComponent,
     IllConditioned,
@@ -75,6 +75,18 @@ def test_companion_exits_unit_square_at_h_seed(switch, switch_seeds):
     assert st.status == "exits-u"
     assert st.term is None
     assert q.companion_v(q.WeightedTerm(h.x, h.y, 1.0), switch) is None
+
+
+def test_companion_within_u_margin_of_one_exits_u():
+    # Q(x, y) = (y - 1/2)(y - b) with b = 1 - 1e-10: the companion of
+    # (1/2, 1/2) is b, inside the U_MARGIN band where the battery's in_u
+    # rejects a term, so a series must not keep it.
+    b = 1.0 - 1e-10
+    ker = KernelPoly(np.array([[0.5 * b, -(0.5 + b), 1.0], [0.0] * 3, [0.0] * 3]))
+    st = _companion_v(q.WeightedTerm(0.5, 0.5, 1.0), ker)
+    assert 1.0 - U_MARGIN < st.value < 1.0
+    assert st.status == "exits-u"
+    assert st.term is None
 
 
 def test_companion_double_root_at_corners(switch):

@@ -17,6 +17,7 @@ from conftest import PRESET_NAMES, product_form_walk, random_walk
 import convexity_reference
 from convexity_reference import convexity_check as reference_convexity
 from keep_all_censored import keep_all_censored, loop_gth
+from gauss_jordan_inverse import gauss_jordan_inverse
 from loop_level_inverse import loop_level_inverse
 from plain_reduction import plain_reduction
 import power_reference
@@ -238,8 +239,8 @@ LEVEL_INVERSE_AGREEMENT = 5e-14
 def _assert_inverse_agrees(D, W, U, label):
     got = oracle_mod._level_inverse(D, W, U)
     want = loop_level_inverse(D, W, U)
-    if W.shape[0] <= oracle_mod._LEAF:  # a leaf is the reference loop
-        assert got.tobytes() == want.tobytes(), label
+    if W.shape[0] <= oracle_mod._LEAF:  # a leaf is one Gauss-Jordan sweep
+        assert got.tobytes() == gauss_jordan_inverse(D, W, U).tobytes(), label
     assert got.min() >= 0.0 and ((got == 0.0) == (want == 0.0)).all(), label
     big = want > 0.0
     error = np.abs(got[big] - want[big]) / want[big]

@@ -257,3 +257,34 @@ def test_construct_bytes_match_reference_bodies(tmp_path, capsys, monkeypatch):
         assert all({"_kernel", "_branch_points"} <= set(s.__dict__) for s in loaded)
     assert shipped == reference
     assert sum(code == 0 for code, _, _ in shipped) >= 10
+
+
+def test_real_roots_matches_reference_newton_steps(monkeypatch):
+    # Every polynomial the walks' geometry solves, and polynomials with a
+    # double or nearly double root, where Newton steps cycle between
+    # neighbouring floats: the shipped cycle test must land where the
+    # reference's remaining steps do.
+    seen = []
+    shipped = curve.real_roots
+
+    def record(coeffs):
+        seen.append(np.array(coeffs, dtype=float))
+        return shipped(coeffs)
+
+    monkeypatch.setattr(curve, "real_roots", record)
+    walks = _walks()
+    for _, spec in walks:
+        q.curve_boundary_intersections(spec)
+    monkeypatch.undo()
+    assert len(seen) >= 2 * len(walks)
+    rng = np.random.default_rng(94)
+    for _ in range(400):
+        roots = rng.uniform(-2.0, 2.0, rng.integers(2, 7))
+        roots[1] = roots[0] * (1.0 + rng.choice([0.0, 1e-9, 1e-6]))
+        seen.append(np.polynomial.polynomial.polyfromroots(roots) * rng.uniform(0.1, 10.0))
+    steps = []
+    for coeffs in seen:
+        found, n_inf = curve.real_roots(coeffs)
+        want, want_inf = ref.real_roots(coeffs, steps)
+        assert _bytes(found) == _bytes(want) and n_inf == want_inf, coeffs.tolist()
+    assert steps.count(60) >= 20
