@@ -24,6 +24,7 @@ from . import presets
 from .compensation import assemble_measure, build_series
 from .curve import branch_points, curve_boundary_intersections, detect_singularity, trace_qplus
 from .errors import (
+    EmptyComponent,
     InvalidRouting,
     InvalidWalk,
     QpwalkError,
@@ -105,11 +106,20 @@ def _load_json(path: str):
 
 
 def _load_walk(path: str) -> WalkSpec:
-    return ensure_valid(WalkSpec.from_dict(_load_json(path)))
+    data = _load_json(path)
+    try:
+        spec = WalkSpec.from_dict(data)
+    except TypeError as exc:
+        raise ValueError(f"{path} is not a walk: {exc}") from exc
+    return ensure_valid(spec)
 
 
 def _load_gamma(path: str) -> GammaSet:
-    return GammaSet.from_dict(_load_json(path))
+    data = _load_json(path)
+    try:
+        return GammaSet.from_dict(data)
+    except (TypeError, EmptyComponent) as exc:
+        raise ValueError(f"{path} is not a term set: {exc}") from exc
 
 
 def _cmd_analyze(args) -> int:

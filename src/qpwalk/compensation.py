@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .curve import U_MARGIN, KernelPoly, boundary_h, boundary_v, kernel, y_quadratic
+from .curve import U_MARGIN, boundary_h, boundary_v, kernel, y_quadratic
 from .errors import (
     DegenerateT,
     Diverged,
@@ -29,7 +29,7 @@ from .errors import (
     OffCurve,
     StalledAtBranchPoint,
 )
-from .model import OFFSETS, WalkSpec, eligible
+from .model import OFFSETS, WalkSpec, _per_walk, eligible
 from .oracle import _grid_residuals, balance_residuals
 from .terms import GammaSet, WeightedTerm, _close, _merge_terms, _term_sum
 
@@ -57,10 +57,10 @@ def t_value(term: TermLike, spec: WalkSpec) -> float:
     A weighted pair sharing rho balances the horizontal axis exactly when
     the T-weighted coefficients cancel; see coefficient_ratio_h.
     """
-    return _t_function(spec)(term)
+    return _per_walk(spec, "_t", _build_t)(term)
 
 
-def _t_function(spec: WalkSpec) -> Callable[[TermLike], float]:
+def _build_t(spec: WalkSpec) -> Callable[[TermLike], float]:
     """t_value for one walk, with its step constants read once: the two
     horizontal axis steps, the north mass and the three south steps."""
     east, west = spec.h(1), spec.h(-1)
@@ -119,11 +119,7 @@ def _other_root(A: float, B: float, C: float, known: float) -> float:
 
 def companion_v_status(term: TermLike, spec: WalkSpec) -> CompanionStatus:
     """Other root of the kernel quadratic in y at the term's x-coordinate."""
-    return _companion_v(term, kernel(spec))
-
-
-def _companion_v(term: TermLike, ker: KernelPoly) -> CompanionStatus:
-    """companion_v_status with the walk's kernel already built."""
+    ker = kernel(spec)
     rho, sigma = _coords(term)
     if abs(ker.value(rho, sigma)) > SEED_RESIDUAL_TOL * ker.scale * max(
         1.0, rho * rho
@@ -170,13 +166,6 @@ def coefficient_ratio_h(
     A zero numerator means the first term balances the axis alone and the
     companion is not needed; the ratio is then 0.
     """
-    return _coefficient_ratio(pair, _t_function(spec))
-
-
-def _coefficient_ratio(
-    pair: Sequence[TermLike], t: Callable[[TermLike], float]
-) -> float:
-    """coefficient_ratio_h with the walk's T already built."""
     t1, t2 = pair
     r1, _ = _coords(t1)
     r2, _ = _coords(t2)
@@ -184,7 +173,7 @@ def _coefficient_ratio(
         raise MixedGroup(
             f"pair does not share rho (sigma in the vertical form): {r1} vs {r2}"
         )
-    return _ratio(t(t1), t(t2))
+    return _ratio(t_value(t1, spec), t_value(t2, spec))
 
 
 @dataclass(frozen=True)
@@ -299,17 +288,11 @@ def build_series(
     # A V-seed balances the vertical axis, so the first correction must
     # repair the horizontal one: companion_v keeps rho and the H-ratio
     # cancels bh_sum of the new pair.  The V-coupled step is the same step
-    # in the transposed walk, reached by transposing the term on the way in
-    # and out.  Each frame's kernel and T are built once here; the
-    # transposed walk's kernel is the transpose of this one.
+    # in the walk's transposed twin, reached by transposing the term on the
+    # way in and out.
     frames = (
-        (_t_function(spec), ker, "H-coupled", lambda t: t),
-        (
-            _t_function(spec.transpose()),
-            KernelPoly(ker.c.T),
-            "V-coupled",
-            WeightedTerm.transpose,
-        ),
+        (spec, "H-coupled", lambda t: t),
+        (spec.transpose(), "V-coupled", WeightedTerm.transpose),
     )
     side = 0 if seeded == "V" else 1
     stopped = "max-terms"
@@ -317,12 +300,12 @@ def build_series(
 
     while len(terms) < max_terms:
         prev = terms[-1]
-        frame_t, frame_ker, link, mirror = frames[side]
-        status = _companion_v(mirror(prev), frame_ker)
+        walk, link, mirror = frames[side]
+        status = companion_v_status(mirror(prev), walk)
         if status.term is None:
             stalled = status
             break
-        alpha = _coefficient_ratio((mirror(prev), status.term), frame_t) * prev.alpha
+        alpha = coefficient_ratio_h((mirror(prev), status.term), walk) * prev.alpha
         if alpha == 0.0:
             # The previous term already balanced the axis alone; nothing
             # further to compensate.

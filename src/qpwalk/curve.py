@@ -35,7 +35,7 @@ from .errors import (
     InconsistentSingularity,
     SingularWalk,
 )
-from .model import WalkSpec, drift, eligible, singular_class
+from .model import WalkSpec, _per_walk, drift, eligible, singular_class
 
 UNIT_ROOT_TOL = 1e-8     # |x - 1| below this counts as the unit branch point
 DEGREE_DROP_TOL = 1e-12  # leading coefficient cutoff, relative to max |coeff|
@@ -99,20 +99,6 @@ class KernelPoly:
                 term *= ys[b]
             total += term
         return total if shape else float(total)
-
-
-def _per_walk(spec: WalkSpec, name: str, build):
-    """``build(spec)``, computed once per walk and shared by every caller.
-
-    The result is kept in the spec's own ``__dict__``, where
-    ``functools.cached_property`` keeps its values.  A WalkSpec is frozen
-    and its arrays are read-only, so the result cannot go stale.  An error
-    that ``build`` raises is not kept: the next call raises it again.
-    """
-    kept = spec.__dict__
-    if name not in kept:
-        kept[name] = build(spec)
-    return kept[name]
 
 
 def kernel(spec: WalkSpec) -> KernelPoly:

@@ -13,6 +13,7 @@ and the origin combines ``h[1]``, ``v[1]`` and ``p[1][1]``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,8 +75,12 @@ class WalkSpec:
         return float(self.vertical[t + 1])
 
     def transpose(self) -> "WalkSpec":
-        """Walk with the roles of the two coordinates exchanged."""
-        return WalkSpec(self.interior.T.copy(), self.vertical.copy(), self.horizontal.copy())
+        """Walk with the roles of the two coordinates exchanged.
+
+        Every call returns the same twin, whose own transpose is this walk,
+        so the two share whatever either has computed per walk.
+        """
+        return _per_walk(self, "_twin", _build_twin)
 
     def to_dict(self) -> dict:
         return {
@@ -109,6 +114,26 @@ class WalkSpec:
             return cls.from_dict(json.load(f))
 
 
+def _per_walk(spec: WalkSpec, name: str, build):
+    """``build(spec)``, computed once per walk and shared by every caller.
+
+    The result is kept in the spec's own ``__dict__``, where
+    ``functools.cached_property`` keeps its values.  A WalkSpec is frozen
+    and its arrays are read-only, so the result cannot go stale.  An error
+    that ``build`` raises is not kept: the next call raises it again.
+    """
+    kept = spec.__dict__
+    if name not in kept:
+        kept[name] = build(spec)
+    return kept[name]
+
+
+def _build_twin(spec: WalkSpec) -> WalkSpec:
+    twin = WalkSpec(spec.interior.T.copy(), spec.vertical, spec.horizontal)
+    twin.__dict__["_twin"] = spec
+    return twin
+
+
 @dataclass(frozen=True)
 class Drift:
     """Mean step per unit time of the interior law."""
@@ -121,7 +146,7 @@ class Drift:
 class ValidationIssue:
     """One violated walk invariant with its numeric residual."""
 
-    code: str  # NonStochastic | NegativeProbability | Degenerate
+    code: str  # NonFinite | NonStochastic | NegativeProbability | Degenerate
     where: str
     residual: float
     message: str
@@ -142,9 +167,9 @@ def validate(spec: WalkSpec) -> list[ValidationIssue]:
     """Check every walk invariant and return the violations.
 
     An empty list means the walk is valid.  Checked invariants: entries are
-    nonnegative, the interior law sums to one, each axis law plus the
-    interior steps leaving that axis sums to one, and the interior self-loop
-    probability is strictly below one.
+    finite and nonnegative, the interior law sums to one, each axis law
+    plus the interior steps leaving that axis sums to one, and the interior
+    self-loop probability is strictly below one.
     """
     issues: list[ValidationIssue] = []
     regions = (
@@ -154,7 +179,13 @@ def validate(spec: WalkSpec) -> list[ValidationIssue]:
     )
     for _, values, names in regions:
         for name, value in zip(names, values):
-            if value < 0.0:
+            if not math.isfinite(value):
+                issues.append(
+                    ValidationIssue(
+                        "NonFinite", name, float(value), f"{name} = {value} is not finite"
+                    )
+                )
+            elif value < 0.0:
                 issues.append(
                     ValidationIssue(
                         "NegativeProbability", name, float(value), f"{name} = {value} < 0"

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .curve import branch_points, kernel
-from .model import OFFSETS, WalkSpec, ensure_valid
+from .model import OFFSETS, WalkSpec, drift, ensure_valid
 from .terms import GammaSet
 
 if TYPE_CHECKING:
@@ -423,9 +423,19 @@ def convexity_check(
     infinity) and checks that each midpoint stays feasible.  Convexity of
     this region is what forces the coordinates of any infinite geometric
     sum to accumulate at the origin.
+
+    A walk drifting up and right has no feasible point in the quadrant:
+    with ``phi(u, w) = sum p e^{-su-tw}``, ``Q(e^u, e^w) < 0`` says
+    ``phi < 1``, and phi is convex with ``phi(0) = 1`` and gradient
+    ``-(mx, my)`` there, so ``phi >= 1 - mx u - my w >= 1`` when
+    ``u, w <= 0``.  Such a walk gets the report of a search that found no
+    pair, without drawing.
     """
     ker = kernel(spec)
     report = branch_points(spec)
+    d = drift(spec)
+    if d.mx > 0.0 and d.my > 0.0:
+        return ConvexityReport(False, 0, samples, ())
 
     def log_clamped(value: float) -> float:
         if value <= 0.0:

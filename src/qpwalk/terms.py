@@ -11,13 +11,14 @@ structural conditions any genuinely infinite sum of geometrics must meet.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .curve import ONCURVE_TOL, U_MARGIN, KernelPoly, boundary_h, kernel
+from .curve import ONCURVE_TOL, U_MARGIN, boundary_h, kernel
 from .errors import EmptyComponent, MixedGroup
 from .model import WalkSpec
 
@@ -126,11 +127,12 @@ def _merge_terms(terms: Iterable[WeightedTerm]) -> list:
 class GammaSet:
     """A finite collection of weighted terms.
 
-    Coordinates must be positive, coefficients nonzero, and no two terms
-    may agree in both coordinates to within ``COUPLE_TOL``.  The duplicate
-    check bisects a rho-sorted index of the earlier terms instead of
-    scanning them all, and rejects exactly the sets such a scan would, at
-    the same term and with the same message.
+    Coordinates and coefficients must be finite, coordinates positive,
+    coefficients nonzero, and no two terms may agree in both coordinates
+    to within ``COUPLE_TOL``.  The duplicate check bisects a rho-sorted
+    index of the earlier terms instead of scanning them all, and rejects
+    exactly the sets such a scan would, at the same term and with the same
+    message.
     """
 
     terms: tuple[WeightedTerm, ...]
@@ -141,6 +143,8 @@ class GammaSet:
             raise EmptyComponent("a term set needs at least one term")
         seen = _RhoIndex()
         for t in terms:
+            if not all(map(math.isfinite, (t.rho, t.sigma, t.alpha))):
+                raise ValueError(f"non-finite term ({t.rho}, {t.sigma}, {t.alpha})")
             if not (t.rho > 0.0 and t.sigma > 0.0):
                 raise ValueError(f"nonpositive coordinates ({t.rho}, {t.sigma})")
             if t.alpha == 0.0:
@@ -401,7 +405,7 @@ def necessary_conditions(
     With ``claims_infinite`` false only the first two apply; the others
     report None.
     """
-    from .compensation import _companion_v  # compensation imports this module
+    from .compensation import companion_v_status  # compensation imports this module
 
     curve_report = check_on_curve(g, spec)
     witnesses: dict = {
@@ -417,12 +421,11 @@ def necessary_conditions(
     extendable: Optional[bool] = None
     if on_curve and in_u:
         blocked = []
-        ker = kernel(spec)
-        ker_t = KernelPoly(ker.c.T)  # the kernel of the transposed walk
+        twin = spec.transpose()
         for idx, t in enumerate(g.terms):
             # the H companion is the V companion on the transposed walk
-            h_st = _companion_v(t.transpose(), ker_t)
-            v_st = _companion_v(t, ker)
+            h_st = companion_v_status(t.transpose(), twin)
+            v_st = companion_v_status(t, spec)
             if h_st.term is None and v_st.term is None:
                 blocked.append({"index": idx, "h": h_st.status, "v": v_st.status})
         witnesses["blocked"] = blocked

@@ -9,6 +9,8 @@ bytes.  Each function keeps the name and signature of what it stands in
 for, so a test can monkeypatch it in.
 """
 
+import math
+
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -93,6 +95,8 @@ def gamma_init(self, terms):
         raise EmptyComponent("a term set needs at least one term")
     seen = []
     for t in terms:
+        if not all(map(math.isfinite, (t.rho, t.sigma, t.alpha))):
+            raise ValueError(f"non-finite term ({t.rho}, {t.sigma}, {t.alpha})")
         if not (t.rho > 0.0 and t.sigma > 0.0):
             raise ValueError(f"nonpositive coordinates ({t.rho}, {t.sigma})")
         if t.alpha == 0.0:

@@ -384,6 +384,71 @@ def test_invalid_walk_reports_issues(capsys, tmp_path):
     assert diag["issues"]
 
 
+def test_switch_verb_rejects_non_finite_routing(capsys):
+    code, out, err = run_cli(capsys, "switch", "0.8", "0.9", "nan", "0.7", "0.6", "0.4")
+    assert code == 2 and out == ""
+    issues = json.loads(err)["issues"]
+    assert issues and {i["code"] for i in issues} == {"NonFinite"}
+    assert "p[1][-1]" in [i["where"] for i in issues]
+
+
+@pytest.mark.parametrize("verb", ["analyze", "verify"])
+def test_non_finite_walk_entry_is_input_error(capsys, tmp_path, fig2d, verb):
+    doc = fig2d.to_dict()
+    doc["interior"][1][1] = float("nan")
+    walk = tmp_path / "walk.json"
+    walk.write_text(json.dumps(doc))
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps([{"rho": 0.5, "sigma": 0.5, "alpha": 1.0}]))
+    argv = [verb, str(walk)] + ([str(measure)] if verb == "verify" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    issues = json.loads(err)["issues"]
+    assert [(i["code"], i["where"]) for i in issues] == [("NonFinite", "p[0][0]")]
+
+
+@pytest.mark.parametrize(
+    "term",
+    [{"rho": 0.5, "sigma": 0.5, "alpha": float("nan")},
+     {"rho": 0.5, "sigma": 0.5, "alpha": float("inf")},
+     {"rho": float("inf"), "sigma": 0.5, "alpha": 1.0}],
+    ids=["alpha-nan", "alpha-inf", "rho-inf"],
+)
+@pytest.mark.parametrize("verb", ["verify", "partition"])
+def test_non_finite_measure_term_is_input_error(capsys, tmp_path, term, verb):
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps({"terms": [term]}))
+    argv = ["verify", "switch_fig7"] if verb == "verify" else ["partition"]
+    code, out, err = run_cli(capsys, *argv, str(measure))
+    assert code == 2 and out == ""
+    assert "non-finite term" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("measure", '{"terms": 5}'),
+        ("measure", "[1, 2]"),
+        ("measure", '{"terms": [{"rho": null, "sigma": 0.5}]}'),
+        ("measure", '{"terms": []}'),
+        ("walk", "[1, 2]"),
+        ("walk", '{"switch": 3}'),
+    ],
+    ids=["terms-5", "measure-list", "rho-null", "terms-empty", "walk-list", "switch-3"],
+)
+def test_malformed_file_is_input_error(capsys, tmp_path, kind, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if kind == "measure":
+        argv = ["verify", "switch_fig7", str(bad)]
+    else:
+        argv = ["analyze", str(bad)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]
+    assert message.startswith("ValueError: ") and str(bad) in message
+
+
 def test_singular_walk_trace_is_input_error(capsys, tmp_path):
     w = [[0.2, 0.1, 0.2], [0.2, 0.2, 0.1], [0.0, 0.0, 0.0]]
     doc = {

@@ -7,8 +7,8 @@ import pytest
 
 import qpwalk as q
 from qpwalk import presets
-from qpwalk.compensation import _companion_v, companion_v_status, t_value
-from qpwalk.curve import U_MARGIN, KernelPoly, y_quadratic
+from qpwalk.compensation import companion_v_status, t_value
+from qpwalk.curve import U_MARGIN, y_quadratic
 from qpwalk.errors import (
     EmptyComponent,
     IllConditioned,
@@ -78,12 +78,21 @@ def test_companion_exits_unit_square_at_h_seed(switch, switch_seeds):
 
 
 def test_companion_within_u_margin_of_one_exits_u():
-    # Q(x, y) = (y - 1/2)(y - b) with b = 1 - 1e-10: the companion of
-    # (1/2, 1/2) is b, inside the U_MARGIN band where the battery's in_u
-    # rejects a term, so a series must not keep it.
+    # A nonsingular walk whose kernel at x = 1/2 is (y - 1/2)(y - b) with
+    # b = 1 - 1e-10: the companion of (1/2, 1/2) is b, inside the U_MARGIN
+    # band where the battery's in_u rejects a term, so a series must not
+    # keep it.  Kernel row a = 0 is set so that A, B and C at x = 1/2 are
+    # 1, -(1/2 + b) and b/2; the walk is p[s][t] = c[1-s][1-t] with one
+    # added to p[0][0], and need not be stochastic.
     b = 1.0 - 1e-10
-    ker = KernelPoly(np.array([[0.5 * b, -(0.5 + b), 1.0], [0.0] * 3, [0.0] * 3]))
-    st = _companion_v(q.WeightedTerm(0.5, 0.5, 1.0), ker)
+    c = np.full((3, 3), 0.1)
+    rest = 0.1 * 0.5 + 0.1 * 0.25  # rows a = 1, 2 at x = 1/2
+    c[0] = (0.5 * b - rest, -(0.5 + b) - rest, 1.0 - rest)
+    spec = q.WalkSpec(np.flip(c) + np.diag([0.0, 1.0, 0.0]), np.zeros(3), np.zeros(3))
+    assert not q.singular_class(spec).singular
+    A, B, C = y_quadratic(q.kernel(spec), 0.5)
+    assert (A, B, C) == pytest.approx((1.0, -(0.5 + b), 0.5 * b), abs=1e-15)
+    st = companion_v_status(q.WeightedTerm(0.5, 0.5, 1.0), spec)
     assert 1.0 - U_MARGIN < st.value < 1.0
     assert st.status == "exits-u"
     assert st.term is None

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qpwalk as q
+from qpwalk import curve
 from qpwalk.cli import dumps
 from qpwalk.curve import (
     boundary_h,
@@ -101,8 +102,9 @@ def test_quadratic_sections_reproduce_kernel(x, y):
 
 
 def test_transposed_walk_kernel_is_transposed_kernel():
-    # build_series and necessary_conditions build the transposed walk's
-    # kernel as KernelPoly(ker.c.T), so the two must agree bit for bit.
+    # The vertical steps of build_series and necessary_conditions run on
+    # the twin's own kernel, so it must be this kernel's transpose bit for
+    # bit for the series to match the walk's H and V roles.
     rng = np.random.default_rng(24)
     specs = [q.presets.load(name) for name in PRESET_NAMES]
     specs += [random_walk(rng) for _ in range(20)]
@@ -258,6 +260,37 @@ def test_geometry_is_computed_once_per_walk():
         assert q.branch_points(spec) is report
         assert q.kernel(spec) is q.kernel(spec)
         assert q.trace_qplus(spec, 128).report is report
+
+
+def test_kernel_is_built_once_per_orientation(monkeypatch):
+    # Seeds, series, assembly and the battery of one walk, which all ask
+    # for the kernels of the walk and of its transposed twin.
+    built = []
+    build = curve._build_kernel
+
+    def counted(spec):
+        built.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(curve, "_build_kernel", counted)
+    rng = np.random.default_rng(30)
+    walks = [q.presets.load("switch_fig7"), q.presets.load("fig2d")]
+    walks += [random_walk(rng, forced=True) for _ in range(6)]
+    for spec in walks:
+        built.clear()
+        seeds = q.curve_boundary_intersections(spec)
+        series = []
+        for s in seeds:
+            try:
+                series.append(q.build_series(spec, (s.x, s.y)))
+            except q.QpwalkError:
+                pass
+        if series:
+            measure = q.assemble_measure(series, spec)
+            q.necessary_conditions(spec, measure.gamma)
+        assert seeds
+        assert len(built) <= 2
+        assert all(sum(b is w for b in built) <= 1 for w in (spec, spec.transpose()))
 
 
 def test_fresh_spec_gives_an_equal_geometry():

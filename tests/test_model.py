@@ -59,6 +59,16 @@ def test_validate_flags_negative_entry():
     assert q.validate(make_spec(w))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_validate_flags_non_finite_entry(value, fig2d):
+    w = np.array(fig2d.interior)
+    w[1, 1] = value
+    issues = q.validate(make_spec(w, fig2d.horizontal, fig2d.vertical))
+    assert [(i.code, i.where) for i in issues if i.code == "NonFinite"] == [("NonFinite", "p[0][0]")]
+    with pytest.raises(InvalidWalk):
+        q.ensure_valid(make_spec(w, fig2d.horizontal, fig2d.vertical))
+
+
 def test_validate_rejects_all_mass_on_stay():
     w = np.zeros((3, 3))
     w[1, 1] = 1.0
@@ -117,6 +127,16 @@ def test_transpose_involution(fig2c):
     assert np.array_equal(t.horizontal, fig2c.vertical)
     back = t.transpose()
     assert np.array_equal(back.interior, fig2c.interior)
+
+
+def test_transpose_is_one_twin_per_walk():
+    rng = np.random.default_rng(18)
+    specs = [q.presets.load(name) for name in PRESET_NAMES]
+    specs += [random_walk(rng) for _ in range(5)]
+    for s in specs:
+        assert s.transpose() is s.transpose()
+        assert s.transpose().transpose() is s
+        assert s.transpose() is not s
 
 
 # --- drift ---

@@ -522,14 +522,29 @@ def test_convexity_matches_reference_sampler():
             assert dumps(got.to_dict()) == dumps(reference_convexity(spec, samples, samples).to_dict())
 
 
-def test_convexity_matches_reference_when_nothing_is_feasible():
-    # The second free walk of default_rng(31) drifts away from the origin:
-    # no draw is feasible, so both samplers stop at the draw cap.
+def test_convexity_matches_reference_when_nothing_is_feasible(monkeypatch):
+    # The second free walk of default_rng(31) drifts away from the origin,
+    # up and right: no draw is feasible, so the reference stops at the
+    # draw cap and the shipped sampler returns the same report unsampled.
     rng = np.random.default_rng(31)
     spec = [random_walk(rng) for _ in range(2)][-1]
-    got = q.convexity_check(spec, samples=2000, seed=5)
-    assert got.checked == 0 and not got.passed
-    assert dumps(got.to_dict()) == dumps(reference_convexity(spec, 2000, 5).to_dict())
+    cases = [(spec, 2000, 5)]
+    rng = np.random.default_rng(32)
+    while len(cases) < 7:
+        walk = random_walk(rng)
+        d = q.drift(walk)
+        if d.mx > 0.0 and d.my > 0.0:
+            cases.append((walk, 200, len(cases)))
+    want = [reference_convexity(*case).to_dict() for case in cases]
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the sampler drew for a walk with no feasible point")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for case, ref in zip(cases, want):
+        got = q.convexity_check(*case)
+        assert got.checked == 0 and not got.passed
+        assert dumps(got.to_dict()) == dumps(ref)
 
 
 def test_convexity_matches_reference_on_a_nonconvex_set(monkeypatch, fig2c):

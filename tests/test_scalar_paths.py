@@ -2,6 +2,7 @@
 the numpy and all-pairs forms kept in ``scalar_reference``."""
 
 import json
+import math
 
 import numpy as np
 
@@ -166,7 +167,9 @@ def test_duplicate_scan_matches_pairwise_near_the_edge():
 
 def test_duplicate_scan_keeps_its_error_order():
     bad = [WeightedTerm(0.5, 0.5), WeightedTerm(0.5, 0.5 * (1 + 1e-12)), WeightedTerm(-0.1, 0.2)]
-    for items in (bad, bad[::-1], [WeightedTerm(0.2, 0.2), WeightedTerm(0.3, 0.3, 0.0)]):
+    non_finite = [WeightedTerm(0.2, 0.2), WeightedTerm(math.inf, 0.3), WeightedTerm(0.5, 0.5, math.nan)]
+    for items in (bad, bad[::-1], [WeightedTerm(0.2, 0.2), WeightedTerm(0.3, 0.3, 0.0)],
+                  non_finite, non_finite[::-1]):
         assert _outcome(lambda: GammaSet(items).terms) == _outcome(lambda: _reference_gamma(items))
     assert _outcome(lambda: GammaSet([]).terms) == _outcome(lambda: _reference_gamma([]))
 

@@ -41,6 +41,15 @@ def test_gamma_set_rejects_nonpositive_coordinates():
         terms_of((0.5, -0.1, 1.0))
 
 
+@pytest.mark.parametrize(
+    "term", [(0.5, 0.5, float("nan")), (0.5, 0.5, float("inf")), (float("inf"), 0.5, 1.0),
+             (0.5, float("nan"), 1.0)],
+)
+def test_gamma_set_rejects_non_finite_terms(term):
+    with pytest.raises(ValueError, match="non-finite term"):
+        terms_of(term)
+
+
 def test_gamma_set_rejects_zero_coefficient():
     with pytest.raises(ValueError):
         terms_of((0.5, 0.5, 0.0))
