@@ -299,6 +299,10 @@ def from_switch(
         Routing probabilities; each row ``(t_i1, t_i2)`` must sum to one and
         be strictly positive.
     """
+    params = {"r1": r1, "r2": r2, "t11": t11, "t12": t12, "t21": t21, "t22": t22}
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise InvalidRouting(f"{name} = {value} is not finite")
     if not (0.0 < r1 <= 1.0 and 0.0 < r2 <= 1.0):
         raise InvalidRouting(f"arrival rates must lie in (0, 1]: r1={r1}, r2={r2}")
     if min(t11, t12, t21, t22) <= 0.0:

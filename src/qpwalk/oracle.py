@@ -39,17 +39,14 @@ class LatticeWindow:
 
 
 def _level_blocks(spec: WalkSpec, n: int) -> tuple[np.ndarray, ...]:
-    """The walk truncated to {0..n} squared as its five level blocks
-    (W0, D, W, U, Wn).
+    """The moves of the walk truncated to {0..n} squared, as four level
+    blocks (W0, D, W, U).
 
     Levels are the second coordinate: ``W[i, i2]`` is the probability of
-    moving from (i, j) to (i2, j) within an interior level, and D and U
-    move to levels j - 1 and j + 1.  Steps that would leave the box stay
-    put instead, summed onto the diagonal of the within block in (s, t)
-    order.  Away from the horizontal axis one step law governs every
-    level, so every level moves down by D and up by U; only the within
-    block differs, W0 on the bottom level, W on levels 1..n-1 and Wn on
-    the top level n.  The bottom level has no D, the top one no U.
+    moving from (i, j) to (i2, j) within a level, and D and U move to levels
+    j - 1 and j + 1.  The bottom level moves within by W0, every other one
+    by W.  A stay or a step out of the box is no move, so every within
+    block has a zero diagonal.
     """
     if n < 2:
         raise ValueError(f"truncation size n = {n} is too small, need n >= 2")
@@ -60,47 +57,40 @@ def _level_blocks(spec: WalkSpec, n: int) -> tuple[np.ndarray, ...]:
     law[0, 1, 1, :] = spec.vertical
     law[0, 1, 2, :] = spec.interior[2, :]
     law[0, 0, 2, 1], law[0, 0, 1, 2], law[0, 0, 2, 2] = spec.h(1), spec.v(1), spec.p(1, 1)
-    law[0, 0, 1, 1] = 1.0 - spec.h(1) - spec.v(1) - spec.p(1, 1)
-    i = np.arange(n + 1)
-
-    def level(j: int) -> np.ndarray:
-        out = np.zeros((3, n + 1, n + 1))
-        row = law[np.minimum(i, 1), min(j, 1)]
-        for s in OFFSETS:
-            for t in OFFSETS:
-                leaves = (i + s < 0) | (i + s > n) | (not 0 <= j + t <= n)
-                to = np.where(leaves, i, i + s)
-                out[np.where(leaves, 1, t + 1), i, to] += row[:, s + 1, t + 1]
-        return out
-
-    D, W, U = level(1)
-    return level(0)[1], D, W, U, level(n)[1]
+    law[:, :, 1, 1] = 0.0  # a stay is not a move
+    blocks = np.zeros((2, 3, n + 1, n + 1))  # blocks[j > 0, t + 1, i, i + s]
+    for s in OFFSETS:
+        i = np.arange(max(-s, 0), n + 1 - max(s, 0))  # i + s inside the box
+        blocks[:, :, i, i + s] = law[np.minimum(i, 1), :, s + 1].transpose(1, 2, 0)
+    (_, W0, _), (D, W, U) = blocks
+    return W0, D, W, U
 
 
 def transition_matrix(spec: WalkSpec, n: int) -> sp.csr_matrix:
     """Row-stochastic transition matrix of the walk truncated to {0..n}
-    squared, with outflow across the truncation redirected to a self-loop.
+    squared.
 
-    State (i, j) maps to row i*(n+1) + j.  Each of the five level blocks
-    (_level_blocks) fills its own range of levels.  Only this needs scipy,
-    so it is imported here and the stationary solve runs on numpy alone.
+    State (i, j) maps to row i*(n+1) + j.  Each of the four level blocks
+    (_level_blocks) fills its own range of levels, and each state's
+    self-loop is the mass it does not move, one minus its row sum.  Only
+    this needs scipy, so it is imported here and the stationary solve runs
+    on numpy alone.
     """
     import scipy.sparse as sp
 
     N = n + 1
-    W0, D, W, U, Wn = _level_blocks(spec, n)
+    W0, D, W, U = _level_blocks(spec, n)
     rows, cols, vals = [], [], []
     # (block, its levels, level step)
-    for block, first, last, t in (
-        (D, 1, n, -1), (W0, 0, 0, 0), (W, 1, n - 1, 0), (Wn, n, n, 0), (U, 0, n - 1, 1)
-    ):
+    for block, first, last, t in ((D, 1, n, -1), (W0, 0, 0, 0), (W, 1, n, 0), (U, 0, n - 1, 1)):
         j = np.arange(first, last + 1)[:, None]
         i, i2 = np.nonzero(block)
         rows.append(i * N + j)
         cols.append(i2 * N + j + t)
         vals.append(np.broadcast_to(block[i, i2], rows[-1].shape))
     rows, cols, vals = (np.concatenate(a, axis=None) for a in (rows, cols, vals))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(N * N, N * N))
+    P = sp.csr_matrix((vals, (rows, cols)), shape=(N * N, N * N))
+    return P + sp.diags(1.0 - np.asarray(P.sum(axis=1)).ravel())
 
 
 # Largest block _escape_inverse inverts in one Gauss-Jordan sweep; larger
@@ -114,9 +104,8 @@ def _censored_stationary(W: np.ndarray) -> np.ndarray:
 
     The chain is censored onto state 0: for j > 0, pi_j / pi_0 is the
     expected number of visits to j between two visits to 0, the row
-    W[0, 1:] (I - W[1:, 1:])^{-1}.  The rows of W sum to one, so the mass
-    that leaves states 1.. is W[1:, 0], the escape _escape_inverse takes;
-    W's diagonal is never read.
+    W[0, 1:] (I - W[1:, 1:])^{-1}.  The mass that leaves states 1.. is
+    W[1:, 0], the escape _escape_inverse takes; W's diagonal is never read.
     """
     x = np.concatenate([[1.0], W[0, 1:] @ _escape_inverse(W[1:, 1:], W[1:, 0])])
     return x / x.sum()
@@ -128,9 +117,9 @@ def _level_inverse(
     """(I - W)^{-1} for the within block W of a level whose down and up
     blocks are D and U (None where the level has none), subtraction-free.
 
-    The rows of [D W U] sum to one, so the diagonal of I - W is the
-    off-diagonal mass of W plus the escape mass D1 + U1 that leaves the
-    level, never 1 - W_ii; see _escape_inverse.
+    The diagonal of I - W is the mass each state moves: the off-diagonal
+    mass of W plus the escape mass D1 + U1 that leaves the level, never
+    1 - W_ii; see _escape_inverse.
     """
     escape = sum(b.sum(axis=1) for b in (D, U) if b is not None)
     return _escape_inverse(W, escape)
@@ -186,21 +175,21 @@ def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:
     """Componentwise-accurate stationary grid via cyclic reduction.
 
     Levels are the second coordinate, and the chain is block tridiagonal
-    over them, with the five blocks of _level_blocks: every level moves
-    down by D and up by U, and within by W0 (bottom), W (interior) or Wn
-    (top).  Each stage censors the chain on its even levels (Bini-Meini
-    cyclic reduction), and the censored chain again has five such blocks.
-    An interior odd level is eliminated through X = (I - W)^{-1}, and a
-    top odd level, when the level count is even, through
-    Xn = (I - Wn)^{-1}.  The even levels get D X D and U X U, and the
-    within blocks W0 + U X D, W + D X U + U X D and Wn + D X U; when the
-    top level is odd, the new top is W + D X U + U Xn D instead.  Stages
-    halve the level count until one level is left, censored onto one
-    state (_censored_stationary).  The way back is
-    pi_l = pi_{l-1} (U X) + pi_{l+1} (D X) for an interior odd level l and
-    pi_l = pi_{l-1} (U Xn) for a top one, with U X, D X and U Xn kept from
-    the way down, one vector-matrix product per level.  No step subtracts
-    (see _level_inverse), so small cells keep full relative accuracy.
+    over them, with the four blocks of _level_blocks; the top level, which
+    has no U, gets its own within block Wn, which starts as W.  Each stage
+    censors the chain on its even levels (Bini-Meini cyclic reduction),
+    and the censored chain again has such blocks.  An interior odd level
+    is eliminated through X = (I - W)^{-1}, and a top odd level, when the
+    level count is even, through Xn = (I - Wn)^{-1}.  The even levels get
+    D X D and U X U, and the within blocks W0 + U X D, W + D X U + U X D
+    and Wn + D X U; when the top level is odd, the new top is
+    W + D X U + U Xn D instead.  Stages halve the level count until one
+    level is left, censored onto one state (_censored_stationary).  The
+    way back is pi_l = pi_{l-1} (U X) + pi_{l+1} (D X) for an interior odd
+    level l and pi_l = pi_{l-1} (U Xn) for a top one, with U X, D X and
+    U Xn kept from the way down, one vector-matrix product per level.  No
+    step subtracts (see _level_inverse), so small cells keep full relative
+    accuracy and none is negative.
 
     A stage inverts the interior block once (unless only two levels are
     left) and the top block once when the level count is even, so a solve
@@ -210,7 +199,8 @@ def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:
     rows (three levels at n = 160), so most of the arithmetic runs in
     matrix products rather than one Python step per column.
     """
-    W0, D, W, U, Wn = _level_blocks(spec, n)
+    W0, D, W, U = _level_blocks(spec, n)
+    Wn = W
     L = n + 1
     stages = []  # per stage: level count, U X, D X, U Xn
     while L > 1:
@@ -241,15 +231,15 @@ def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:
 
 def truncated_stationary(spec: WalkSpec, n: int) -> LatticeWindow:
     """Stationary distribution of the truncated walk, by cyclic reduction
-    on its five level blocks (_direct_censored): at most two
-    subtraction-free block inversions per halving of the level count,
-    componentwise accurate, numpy only, O(n^2 log n) memory.
+    on its level blocks (_direct_censored): subtraction-free, so
+    componentwise accurate and non-negative, numpy only, O(n^2 log n)
+    memory.
     """
     ensure_valid(spec)
     if n < 8:
         raise ValueError(f"truncation size n = {n} is too small, need n >= 8")
-    grid = np.abs(_direct_censored(spec, n))
-    grid = grid / grid.sum()
+    grid = _direct_censored(spec, n)
+    grid /= grid.sum()
     grid.flags.writeable = False
     return LatticeWindow(n, grid)
 
@@ -298,7 +288,8 @@ def _relative(residual: np.ndarray, mass: np.ndarray) -> np.ndarray:
 def _grid_residuals(spec: WalkSpec, m: np.ndarray, window: int):
     """Raw balance residuals (interior, horizontal, vertical, origin) of a
     measure grid: each state's mass minus its inflow, on {0..window}
-    squared.
+    squared.  The vertical axis is the horizontal one of the transposed
+    walk and grid.
 
     The grid must extend at least one cell past the window in each
     direction so inflow sums stay inside it.
@@ -314,13 +305,12 @@ def _grid_residuals(spec: WalkSpec, m: np.ndarray, window: int):
         for t in OFFSETS:
             inflow += spec.p(s, t) * m[1 - s : W + 1 - s, 1 - t : W + 1 - t]
 
-    inflow_h = np.zeros(W)
-    inflow_v = np.zeros(W)
-    for s in OFFSETS:
-        inflow_h += spec.h(s) * m[1 - s : W + 1 - s, 0]
-        inflow_h += spec.p(s, -1) * m[1 - s : W + 1 - s, 1]
-        inflow_v += spec.v(s) * m[0, 1 - s : W + 1 - s]
-        inflow_v += spec.p(-1, s) * m[1, 1 - s : W + 1 - s]
+    def horizontal(spec: WalkSpec, m: np.ndarray) -> np.ndarray:
+        inflow_h = np.zeros(W)
+        for s in OFFSETS:
+            inflow_h += spec.h(s) * m[1 - s : W + 1 - s, 0]
+            inflow_h += spec.p(s, -1) * m[1 - s : W + 1 - s, 1]
+        return m[1 : W + 1, 0] - inflow_h
 
     stay = 1.0 - spec.h(1) - spec.v(1) - spec.p(1, 1)
     inflow_o = (
@@ -331,8 +321,8 @@ def _grid_residuals(spec: WalkSpec, m: np.ndarray, window: int):
     )
     return (
         m[1 : W + 1, 1 : W + 1] - inflow,
-        m[1 : W + 1, 0] - inflow_h,
-        m[0, 1 : W + 1] - inflow_v,
+        horizontal(spec, m),
+        horizontal(spec.transpose(), m.T),
         m[0, 0] - inflow_o,
     )
 

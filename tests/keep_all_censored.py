@@ -20,12 +20,19 @@ import numpy as np
 from qpwalk.oracle import _level_blocks
 
 
+def with_stays(W, *others):
+    """W with each state's stay on its diagonal: the mass that the row of
+    [W others] does not move."""
+    return W + np.diag(1.0 - sum(b.sum(axis=1) for b in (W, *others)))
+
+
 def censor_all(spec, n: int):
     """Every rate matrix R_1..R_n (index 0 unused) and the bottom block W_0."""
     N = n + 1
-    W0, D, Wi, U, Wn = _level_blocks(spec, n)
+    W0, D, W, U = _level_blocks(spec, n)
+    W0, Wi = with_stays(W0, U), with_stays(W, D, U)
+    W = with_stays(W, D)  # level j's within block, censored on the levels above it
     Rs = [None] * N
-    W = Wn  # level j's within block, censored on the levels above it
     for j in range(n, 0, -1):
         # R_j = U (I - W_j)^{-1}: solve the transposed system on U^T.
         Rs[j] = np.linalg.solve((np.eye(N) - W).T, U.T).T

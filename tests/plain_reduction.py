@@ -1,10 +1,10 @@
 """Plain cyclic reduction, the reference for ``qpwalk.oracle``'s direct solve.
 
-``plain_reduction`` expands the five level blocks into one (down,
+``plain_reduction`` expands the four level blocks into one (down,
 within, up) triple per level and eliminates the odd levels of each stage
 one by one, forming every level's blocks separately: no product is shared
 between levels, even where their operands are one shared array.  The
-shipped solve carries only the five blocks through each stage and forms
+shipped solve carries only five blocks through each stage and forms
 each of their products once, by the same calls in the same order, so the
 two grids must agree bit for bit.
 """
@@ -15,8 +15,8 @@ from qpwalk.oracle import _censored_stationary, _level_blocks, _level_inverse
 
 
 def plain_reduction(spec, n: int) -> np.ndarray:
-    W0, D, W, U, Wn = _level_blocks(spec, n)
-    levels = [(None, W0, U)] + [(D, W, U)] * (n - 1) + [(D, Wn, None)]
+    W0, D, W, U = _level_blocks(spec, n)
+    levels = [(None, W0, U)] + [(D, W, U)] * (n - 1) + [(D, W, None)]
     stages = []
     while len(levels) > 1:
         L = len(levels)

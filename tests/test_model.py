@@ -285,6 +285,8 @@ def test_from_switch_drift_two_ways(r1, r2, t11, t21):
         (0.0, 0.9, 0.3, 0.7, 0.6, 0.4),  # r1 out of range
         (0.8, 0.9, 0.3, 0.6, 0.6, 0.4),  # t1 row does not sum to 1
         (0.8, 0.9, 0.0, 1.0, 0.6, 0.4),  # zero routing probability
+        (0.8, 0.9, float("nan"), 0.7, 0.6, 0.4),  # NaN passes every comparison
+        (0.8, 0.9, 0.3, 0.7, 0.6, float("nan")),
     ],
 )
 def test_from_switch_rejects_bad_routing(args):

@@ -104,6 +104,48 @@ def test_axis_row_matches_steps(state):
     _check_row(transition_matrix(spec, n).tocsr(), spec, n, *state)
 
 
+# --- level blocks ---
+
+# Its origin stay 1 - h(1) - v(1) - p(1, 1) is -0.5, a walk that validate
+# accepts; the level blocks hold no stay, so none of it reaches the solve.
+NEGATIVE_ORIGIN_STAY = q.WalkSpec(
+    [[0.4, 0.0, 0.1], [0.0, 0.1, 0.0], [0.1, 0.0, 0.3]], [0.0, 0.0, 0.6], [0.0, 0.0, 0.6]
+)
+
+
+def test_level_blocks_hold_moves_only():
+    for name, spec in _bit_identity_walks() + [("negative stay", NEGATIVE_ORIGIN_STAY)]:
+        for n in (2, 3, 9):
+            blocks = oracle_mod._level_blocks(spec, n)
+            assert len(blocks) == 4, name
+            assert all(b.shape == (n + 1, n + 1) and b.min() >= 0.0 for b in blocks), name
+            W0, _, W, _ = blocks
+            assert not W0.diagonal().any() and not W.diagonal().any(), (name, n)
+
+
+def test_direct_solve_reads_no_within_block_diagonal(monkeypatch):
+    shipped = oracle_mod._level_blocks
+
+    def nan_diagonals(spec, n):
+        W0, D, W, U = shipped(spec, n)
+        np.fill_diagonal(W0, np.nan)
+        np.fill_diagonal(W, np.nan)
+        return W0, D, W, U
+
+    cases = [(name, spec, n) for name, spec in _bit_identity_walks() for n in (8, 13, 30, 80)]
+    want = [oracle_mod._direct_censored(spec, n).tobytes() for _, spec, n in cases]
+    monkeypatch.setattr(oracle_mod, "_level_blocks", nan_diagonals)
+    for (name, spec, n), ref in zip(cases, want):
+        assert oracle_mod._direct_censored(spec, n).tobytes() == ref, (name, n)
+
+
+@pytest.mark.parametrize("n", [8, 9, 30])
+def test_direct_solve_is_non_negative_with_a_negative_origin_stay(n):
+    grid = oracle_mod._direct_censored(NEGATIVE_ORIGIN_STAY, n)
+    assert np.isfinite(grid).all() and grid.min() >= 0.0
+    assert grid.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 # --- stationary solve ---
 
 
@@ -147,9 +189,9 @@ def _one_step_residual(spec, n, grid):
     return float((np.abs(flow[big] - pi[big]) / pi[big]).max())
 
 
-# The shipped solve carries the five level blocks through each stage; the
-# plain reduction forms every level's own.  An even n keeps the top level at
-# the first stage and an odd n (3, 9, 15) eliminates it there.  n = 2 and 3
+# The shipped solve carries the four level blocks and the top one through
+# each stage; the plain reduction forms every level's own.  An even n keeps
+# the top level at the first stage and an odd n (3, 9, 15) eliminates it there.  n = 2 and 3
 # start from 3 and 4 levels, and n = 160 from 161.
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 15, 24, 30, 80, 100, 160])
 def test_reduction_is_bit_identical_to_plain_reduction(n):
