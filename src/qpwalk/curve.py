@@ -47,7 +47,7 @@ EQUALITY_TOL = 1e-12     # sub-case boundary p0 = 2*sqrt(pm*pp)
 _LATER_TERMS = tuple((a, b) for a in range(3) for b in range(3))[1:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelPoly:
     """Coefficients ``c[a][b]`` of the kernel polynomial."""
 
@@ -283,6 +283,8 @@ def _pair_matches_case(labels: list[RootLabel], case: str, inner: bool) -> bool:
 
 @dataclass(frozen=True)
 class AxisBranchData:
+    """Branch points of Y(x) on one axis, classified, with their corners."""
+
     roots: tuple[float, ...]
     labels: tuple[RootLabel, ...]
     case_inner: str
@@ -374,46 +376,44 @@ def _double_root_of_quadratic(A: float, B: float, C: float) -> float:
 
 @dataclass(frozen=True)
 class BranchPointReport:
-    """Roots of both discriminants with labels and the four curve corners."""
+    """Branch points of both discriminants: ``x`` is the walk's own axis,
+    ``y`` the x axis of the transposed walk, the same object as the
+    transposed walk's own ``x``."""
 
-    roots_x: tuple[float, ...]
-    roots_y: tuple[float, ...]
-    labels_x: tuple[RootLabel, ...]
-    labels_y: tuple[RootLabel, ...]
-    case_x_inner: str
-    case_x_outer: str
-    case_y_inner: str
-    case_y_outer: str
-    consistent_x: bool
-    consistent_y: bool
-    x_l: float
-    x_r: float
-    y_b: float
-    y_t: float
-    corners: tuple[tuple[float, float], ...]  # left, bottom, right, top
+    x: AxisBranchData
+    y: AxisBranchData
+
+    @property
+    def corners(self) -> tuple[tuple[float, float], ...]:
+        """Left, bottom, right and top corners of the positive component."""
+        x, y = self.x, self.y
+        return ((x.low, x.corner_low), (y.corner_low, y.low),
+                (x.high, x.corner_high), (y.corner_high, y.high))
 
     def to_dict(self) -> dict:
+        x, y = self.x, self.y
         return {
-            "roots_x": list(self.roots_x),
-            "roots_y": list(self.roots_y),
+            "roots_x": list(x.roots),
+            "roots_y": list(y.roots),
             "labels": {
-                "x": [lab.to_dict() for lab in self.labels_x],
-                "y": [lab.to_dict() for lab in self.labels_y],
-                "case_x_inner": self.case_x_inner,
-                "case_x_outer": self.case_x_outer,
-                "case_y_inner": self.case_y_inner,
-                "case_y_outer": self.case_y_outer,
-                "consistent_x": self.consistent_x,
-                "consistent_y": self.consistent_y,
+                "x": [lab.to_dict() for lab in x.labels],
+                "y": [lab.to_dict() for lab in y.labels],
+                "case_x_inner": x.case_inner,
+                "case_x_outer": x.case_outer,
+                "case_y_inner": y.case_inner,
+                "case_y_outer": y.case_outer,
+                "consistent_x": x.consistent,
+                "consistent_y": y.consistent,
             },
-            "interval": {
-                "x_l": self.x_l,
-                "x_r": self.x_r,
-                "y_b": self.y_b,
-                "y_t": self.y_t,
-            },
+            "interval": {"x_l": x.low, "x_r": x.high, "y_b": y.low, "y_t": y.high},
             "corners": [list(c) for c in self.corners],
         }
+
+
+def _axis(spec: WalkSpec) -> AxisBranchData:
+    """The walk's x axis, computed once per walk.  Its y axis is
+    ``_axis(spec.transpose())``, kept on the twin."""
+    return _per_walk(spec, "_axis", _axis_branch_data)
 
 
 def branch_points(spec: WalkSpec) -> BranchPointReport:
@@ -425,40 +425,18 @@ def branch_points(spec: WalkSpec) -> BranchPointReport:
     outside); the sign patterns of each pair follow from comparing the
     straight-ahead probability with twice the geometric mean of its
     diagonal neighbors.  The corners are the points of the positive
-    component where the two y-roots (or x-roots) collide.  The y side is
-    computed as the x side of the transposed walk.
+    component where the two y-roots (or x-roots) collide.
 
-    The report is computed once per WalkSpec and shared: the trace, the
-    seeds and the convexity sampler of one walk all read the same one.
+    Each axis is computed once per walk and orientation: the y axis is
+    the x axis of ``spec.transpose()``, so a walk and its transpose share
+    their two axes, swapped.  The report is kept per WalkSpec too: the
+    trace and the convexity sampler of one walk read the same one.
     """
     return _per_walk(spec, "_branch_points", _build_branch_points)
 
 
 def _build_branch_points(spec: WalkSpec) -> BranchPointReport:
-    x = _axis_branch_data(spec)
-    y = _axis_branch_data(spec.transpose())
-    return BranchPointReport(
-        roots_x=x.roots,
-        roots_y=y.roots,
-        labels_x=x.labels,
-        labels_y=y.labels,
-        case_x_inner=x.case_inner,
-        case_x_outer=x.case_outer,
-        case_y_inner=y.case_inner,
-        case_y_outer=y.case_outer,
-        consistent_x=x.consistent,
-        consistent_y=y.consistent,
-        x_l=x.low,
-        x_r=x.high,
-        y_b=y.low,
-        y_t=y.high,
-        corners=(
-            (x.low, x.corner_low),
-            (y.corner_low, y.low),
-            (x.high, x.corner_high),
-            (y.corner_high, y.high),
-        ),
-    )
+    return BranchPointReport(_axis(spec), _axis(spec.transpose()))
 
 
 def _y_roots_on_interval(ker: KernelPoly, xs: np.ndarray):
@@ -495,7 +473,7 @@ def _y_roots_on_interval(ker: KernelPoly, xs: np.ndarray):
     return lower, upper, valid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QPlusTrace:
     """Ordered closed-loop sample of the positive curve component."""
 
@@ -550,7 +528,7 @@ def trace_qplus(spec: WalkSpec, n_points: int = 2048) -> QPlusTrace:
         raise ValueError(f"n_points = {n_points} is too small, need n_points >= 2")
     report = branch_points(spec)
     ker = kernel(spec)
-    x_l, x_r = report.x_l, report.x_r
+    x_l, x_r = report.x.low, report.x.high
     if not (math.isfinite(x_l) and math.isfinite(x_r)) or x_r <= x_l:
         raise EmptyComponent(f"degenerate branch interval [{x_l}, {x_r}]")
 
@@ -564,8 +542,7 @@ def trace_qplus(spec: WalkSpec, n_points: int = 2048) -> QPlusTrace:
     ok_low = np.abs(ker.value(xs, lower)) <= ONCURVE_TOL * residual_scale * (1.0 + lower**2)
     ok_up = np.abs(ker.value(xs, upper)) <= ONCURVE_TOL * residual_scale * (1.0 + upper**2)
 
-    x_b = report.corners[1][0]
-    x_t = report.corners[3][0]
+    x_b, x_t = report.y.corner_low, report.y.corner_high
 
     x_low, x_up = xs[ok_low], xs[ok_up][::-1]
     n_low = x_low.size
@@ -649,10 +626,10 @@ class Intersection:
 U_MARGIN = 1e-9
 
 
-def _h_zeros(spec: WalkSpec, lo: float, hi: float) -> list[tuple[float, float]]:
-    """Distinct points of the curve with x in [lo, hi], inside the open
-    unit square by ``U_MARGIN``, where the horizontal balance polynomial
-    vanishes.
+def _h_zeros(spec: WalkSpec) -> list[tuple[float, float]]:
+    """Distinct points of the curve with x between the branch points of
+    the walk's x axis (``_axis(spec)``), inside the open unit square by
+    ``U_MARGIN``, where the horizontal balance polynomial vanishes.
 
     ``boundary_h(x, y) = y D(x) - N(x)`` is linear in y, so substituting
     ``y = N / D`` into the kernel and clearing ``D^2`` leaves one
@@ -666,10 +643,11 @@ def _h_zeros(spec: WalkSpec, lo: float, hi: float) -> list[tuple[float, float]]:
     c = kernel(spec).c
     R = sum(np.convolve(c[:, b], powers[b]) for b in range(3))
     roots, _ = real_roots(R)
+    axis = _axis(spec)
     N, D = N.tolist(), D.tolist()
     zeros = []
     for x in roots:
-        if not (lo <= x <= hi and U_MARGIN < x < 1.0 - U_MARGIN):
+        if not (axis.low <= x <= axis.high and U_MARGIN < x < 1.0 - U_MARGIN):
             continue
         y = _polyval(N, x) / _polyval(D, x)
         if U_MARGIN < y < 1.0 - U_MARGIN and not any(
@@ -685,14 +663,17 @@ def curve_boundary_intersections(spec: WalkSpec) -> list[Intersection]:
 
     The H zeros are the roots of one polynomial in x (see ``_h_zeros``);
     the V zeros are the H zeros of the transposed walk with coordinates
-    swapped.  The point (1, 1) always solves the interior balance but lies
-    on the closed square's boundary, so it is excluded along with
-    everything else within ``U_MARGIN`` of the unit square's edge.
+    swapped, bounded by its x axis, which is this walk's y axis.  The
+    point (1, 1) always solves the interior balance but lies on the closed
+    square's boundary, so it is excluded along with everything else within
+    ``U_MARGIN`` of the unit square's edge.
     """
-    report = branch_points(spec)
-    h = _h_zeros(spec, report.x_l, report.x_r)
-    v = _h_zeros(spec.transpose(), report.y_b, report.y_t)
-    found = [Intersection(x, y, "H") for x, y in h]
-    found += [Intersection(x, y, "V") for y, x in v]
+    twin = spec.transpose()
+    # Both axes before either seed polynomial, so that a walk with no
+    # real branch points on one axis raises ComplexRoots from there.
+    for side in (spec, twin):
+        _axis(side)
+    found = [Intersection(x, y, "H") for x, y in _h_zeros(spec)]
+    found += [Intersection(x, y, "V") for y, x in _h_zeros(twin)]
     found.sort(key=lambda p: (p.which, p.x, p.y))
     return found

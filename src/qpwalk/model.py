@@ -27,7 +27,7 @@ STOCH_TOL = 1e-12
 OFFSETS = (-1, 0, 1)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class WalkSpec:
     """Transition law of a homogeneous quarter-plane random walk.
 
@@ -42,6 +42,10 @@ class WalkSpec:
     vertical : ndarray, shape (3,)
         ``vertical[t+1]`` is the probability of step ``(0, t)`` from a
         vertical-axis state ``(0, j)`` with ``j > 0``.
+
+    ``==`` and ``hash`` go by identity, as the per-walk results are kept;
+    two walks have the same law when ``np.array_equal`` holds for each of
+    the three arrays.
     """
 
     interior: np.ndarray

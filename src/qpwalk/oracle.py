@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 MASS_FLOOR = 1e-13       # cells below this are excluded from relative errors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeWindow:
     """Stationary distribution of the truncated chain on {0..n} squared."""
 
@@ -239,7 +239,6 @@ def truncated_stationary(spec: WalkSpec, n: int) -> LatticeWindow:
     if n < 8:
         raise ValueError(f"truncation size n = {n} is too small, need n >= 8")
     grid = _direct_censored(spec, n)
-    grid /= grid.sum()
     grid.flags.writeable = False
     return LatticeWindow(n, grid)
 
@@ -427,15 +426,13 @@ def convexity_check(
     if d.mx > 0.0 and d.my > 0.0:
         return ConvexityReport(False, 0, samples, ())
 
-    def log_clamped(value: float) -> float:
-        if value <= 0.0:
-            return LOG_CLAMP
-        return max(math.log(value), LOG_CLAMP)
-
-    lo_u = log_clamped(report.x_l)
-    lo_w = log_clamped(report.y_b)
-    hi_u = min(0.0, math.log(report.x_r)) if math.isfinite(report.x_r) else 0.0
-    hi_w = min(0.0, math.log(report.y_t)) if math.isfinite(report.y_t) else 0.0
+    (lo_u, hi_u), (lo_w, hi_w) = (
+        (
+            max(math.log(axis.low), LOG_CLAMP) if axis.low > 0.0 else LOG_CLAMP,
+            min(0.0, math.log(axis.high)) if math.isfinite(axis.high) else 0.0,
+        )
+        for axis in (report.x, report.y)
+    )
 
     if not (lo_u < hi_u and lo_w < hi_w):
         return ConvexityReport(False, 0, samples, ())

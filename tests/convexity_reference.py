@@ -38,10 +38,10 @@ def convexity_check(
             return LOG_CLAMP
         return max(math.log(value), LOG_CLAMP)
 
-    lo_u = log_clamped(report.x_l)
-    lo_w = log_clamped(report.y_b)
-    hi_u = min(0.0, math.log(report.x_r)) if math.isfinite(report.x_r) else 0.0
-    hi_w = min(0.0, math.log(report.y_t)) if math.isfinite(report.y_t) else 0.0
+    lo_u = log_clamped(report.x.low)
+    lo_w = log_clamped(report.y.low)
+    hi_u = min(0.0, math.log(report.x.high)) if math.isfinite(report.x.high) else 0.0
+    hi_w = min(0.0, math.log(report.y.high)) if math.isfinite(report.y.high) else 0.0
 
     if not (lo_u < hi_u and lo_w < hi_w):
         return ConvexityReport(False, 0, samples, ())

@@ -17,7 +17,7 @@ def loop_trace(spec, n_points: int = 2048):
     """(points, arcs) of ``trace_qplus(spec, n_points)``, built per point."""
     report = curve.branch_points(spec)
     ker = curve.kernel(spec)
-    xs = curve._trace_grid(report.x_l, report.x_r, n_points)
+    xs = curve._trace_grid(report.x.low, report.x.high, n_points)
     lower, upper, valid = curve._y_roots_on_interval(ker, xs)
     xs, lower, upper = xs[valid], lower[valid], upper[valid]
 

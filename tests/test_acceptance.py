@@ -57,8 +57,8 @@ def test_criterion_3_branch_point_closed_forms(fig2c, fig2d):
     rep = q.branch_points(fig2c)
     x_l_exact = math.sqrt((27.0 - math.sqrt(645.0)) / 42.0)
     x_r_exact = math.sqrt((27.0 + math.sqrt(645.0)) / 42.0)
-    assert abs(rep.x_l - x_l_exact) <= 1e-10
-    assert abs(rep.x_r - x_r_exact) <= 1e-10
+    assert abs(rep.x.low - x_l_exact) <= 1e-10
+    assert abs(rep.x.high - x_r_exact) <= 1e-10
 
     coeffs = q.disc_y_coeffs(q.kernel(fig2d))
     expected = np.array([0.0, 0.0, 0.75, 0.0, -0.5])
@@ -99,12 +99,12 @@ def test_criterion_5_discriminant_root_split():
         checked += 1
 
         rep = q.branch_points(spec)
-        assert len(rep.labels_x) == 4
-        inside = [lab for lab in rep.labels_x if lab.modulus == "inside"]
-        outside = [lab for lab in rep.labels_x if lab.modulus == "outside"]
+        assert len(rep.x.labels) == 4
+        inside = [lab for lab in rep.x.labels if lab.modulus == "inside"]
+        outside = [lab for lab in rep.x.labels if lab.modulus == "outside"]
         assert len(inside) == 2
         assert len(outside) == 2
-        assert rep.consistent_x
+        assert rep.x.consistent
 
         # Recompute both sign sub-cases from the raw probabilities and
         # check the labeled root pairs directly against them.

@@ -101,11 +101,11 @@ def test_companion_within_u_margin_of_one_exits_u():
 def test_companion_double_root_at_corners(switch):
     rep = q.branch_points(switch)
     ker = q.kernel(switch)
-    A, B, _ = y_quadratic(ker, rep.x_r)
-    corner = q.WeightedTerm(rep.x_r, -B / (2 * A), 1.0)
+    A, B, _ = y_quadratic(ker, rep.x.high)
+    corner = q.WeightedTerm(rep.x.high, -B / (2 * A), 1.0)
     assert companion_v_status(corner, switch).status == "double-root"
-    A, B, _ = y_quadratic(q.kernel(switch.transpose()), rep.y_t)
-    corner = q.WeightedTerm(-B / (2 * A), rep.y_t, 1.0)
+    A, B, _ = y_quadratic(q.kernel(switch.transpose()), rep.y.high)
+    corner = q.WeightedTerm(-B / (2 * A), rep.y.high, 1.0)
     assert companion_v_status(corner.transpose(), switch.transpose()).status == "double-root"
 
 
@@ -195,9 +195,9 @@ def test_build_series_rejects_interior_curve_point(switch):
 def test_build_series_rejects_seed_outside_unit_square(switch):
     rep = q.branch_points(switch)
     ker = q.kernel(switch)
-    A, B, _ = y_quadratic(ker, rep.x_r)
+    A, B, _ = y_quadratic(ker, rep.x.high)
     with pytest.raises(OffCurve):
-        q.build_series(switch, (rep.x_r, -B / (2 * A)))
+        q.build_series(switch, (rep.x.high, -B / (2 * A)))
 
 
 def test_switch_series_shapes(switch_series):
@@ -294,17 +294,7 @@ def test_branch_points_of_transposed_walk_swap_axes(name):
     spec = presets.load(name)
     rep = q.branch_points(spec)
     mirror = q.branch_points(spec.transpose())
-    for a, b in [
-        ("roots_x", "roots_y"),
-        ("labels_x", "labels_y"),
-        ("case_x_inner", "case_y_inner"),
-        ("case_x_outer", "case_y_outer"),
-        ("consistent_x", "consistent_y"),
-        ("x_l", "y_b"),
-        ("x_r", "y_t"),
-    ]:
-        assert getattr(mirror, a) == getattr(rep, b)
-        assert getattr(mirror, b) == getattr(rep, a)
+    assert mirror.x is rep.y and mirror.y is rep.x
     # left <-> bottom and right <-> top, coordinates swapped; nan marks an
     # infinite branch point and compares equal to itself here.
     left, bottom, right, top = (c[::-1] for c in rep.corners)

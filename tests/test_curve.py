@@ -191,18 +191,18 @@ def test_branch_points_fig2c_closed_form(fig2c):
     rep = q.branch_points(fig2c)
     x_l = math.sqrt((27.0 - math.sqrt(645.0)) / 42.0)
     x_r = math.sqrt((27.0 + math.sqrt(645.0)) / 42.0)
-    assert rep.x_l == pytest.approx(x_l, abs=1e-12)
-    assert rep.x_r == pytest.approx(x_r, abs=1e-12)
+    assert rep.x.low == pytest.approx(x_l, abs=1e-12)
+    assert rep.x.high == pytest.approx(x_r, abs=1e-12)
 
 
 def test_branch_points_fig2d_report(fig2d):
     rep = q.branch_points(fig2d)
-    assert rep.roots_x == pytest.approx((-math.sqrt(1.5), 0.0, 0.0, math.sqrt(1.5)), abs=1e-12)
-    assert rep.x_l == pytest.approx(0.0, abs=1e-12)
-    assert rep.x_r == pytest.approx(math.sqrt(1.5), abs=1e-12)
-    assert rep.case_x_inner == "b"
-    assert rep.case_x_outer == "c"
-    assert rep.consistent_x and rep.consistent_y
+    assert rep.x.roots == pytest.approx((-math.sqrt(1.5), 0.0, 0.0, math.sqrt(1.5)), abs=1e-12)
+    assert rep.x.low == pytest.approx(0.0, abs=1e-12)
+    assert rep.x.high == pytest.approx(math.sqrt(1.5), abs=1e-12)
+    assert rep.x.case_inner == "b"
+    assert rep.x.case_outer == "c"
+    assert rep.x.consistent and rep.y.consistent
     # corners: two at the origin crossing, two on the outer rim
     assert rep.corners[2][0] == pytest.approx(math.sqrt(1.5), abs=1e-12)
     assert rep.corners[2][1] == pytest.approx(math.sqrt(1.5) / 2.0, abs=1e-12)
@@ -211,14 +211,14 @@ def test_branch_points_fig2d_report(fig2d):
 def test_branch_points_fig2b_unit_root(fig2b):
     # zero vertical drift puts a discriminant root exactly at 1
     rep = q.branch_points(fig2b)
-    roots = rep.roots_x
+    roots = rep.x.roots
     assert roots[2] == pytest.approx(1.0, abs=1e-8)
     assert roots[0] == pytest.approx(0.15240294919944813, abs=1e-10)
     assert roots[1] == pytest.approx(0.41009705080055203, abs=1e-10)
     assert math.isinf(roots[3])
-    assert rep.x_l == pytest.approx(roots[1], abs=1e-12)
-    assert rep.x_r == pytest.approx(1.0, abs=1e-8)
-    assert rep.consistent_x
+    assert rep.x.low == pytest.approx(roots[1], abs=1e-12)
+    assert rep.x.high == pytest.approx(1.0, abs=1e-8)
+    assert rep.x.consistent
 
 
 def test_branch_points_interval_brackets_one():
@@ -226,14 +226,14 @@ def test_branch_points_interval_brackets_one():
     for _ in range(20):
         spec = random_walk(rng, neg_drift=True)
         rep = q.branch_points(spec)
-        assert 0.0 <= rep.x_l < 1.0 < rep.x_r
-        assert 0.0 <= rep.y_b < 1.0 < rep.y_t
+        assert 0.0 <= rep.x.low < 1.0 < rep.x.high
+        assert 0.0 <= rep.y.low < 1.0 < rep.y.high
 
 
 def test_branch_point_labels_carry_modulus():
     rng = np.random.default_rng(28)
     rep = q.branch_points(random_walk(rng))
-    for lab in rep.labels_x:
+    for lab in rep.x.labels:
         d = lab.to_dict()
         assert set(d) >= {"value", "modulus", "sign"}
 
@@ -241,7 +241,7 @@ def test_branch_point_labels_carry_modulus():
 def test_report_to_dict_round_trips_floats(fig2c):
     d = q.branch_points(fig2c).to_dict()
     assert set(d) >= {"roots_x", "roots_y", "labels", "interval", "corners"}
-    assert d["interval"]["x_l"] == pytest.approx(q.branch_points(fig2c).x_l)
+    assert d["interval"]["x_l"] == pytest.approx(q.branch_points(fig2c).x.low)
 
 
 # --- one geometry per walk ---
@@ -293,6 +293,24 @@ def test_kernel_is_built_once_per_orientation(monkeypatch):
         assert all(sum(b is w for b in built) <= 1 for w in (spec, spec.transpose()))
 
 
+def test_each_axis_is_computed_once_per_orientation(monkeypatch):
+    # A walk's y axis is its twin's x axis: the two reports share both.
+    built = []
+    build = curve._axis_branch_data
+
+    def counted(spec):
+        built.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(curve, "_axis_branch_data", counted)
+    for spec in _geometry_walks():
+        report = q.branch_points(spec)
+        mirror = q.branch_points(spec.transpose())
+        assert built == [spec, spec.transpose()]
+        assert mirror.x is report.y and mirror.y is report.x
+        built.clear()
+
+
 def test_fresh_spec_gives_an_equal_geometry():
     for spec in _geometry_walks():
         report, trace = q.branch_points(spec), q.trace_qplus(spec, 256)
@@ -309,7 +327,7 @@ def test_transpose_keeps_its_own_geometry():
         flipped = spec.transpose()
         own = q.branch_points(flipped)
         assert own is not report and q.branch_points(flipped) is own
-        assert own.roots_x == report.roots_y and own.roots_y == report.roots_x
+        assert own.x.roots == report.y.roots and own.y.roots == report.x.roots
         assert q.kernel(flipped).c.tobytes() == q.kernel(spec).c.T.tobytes()
         assert q.branch_points(spec) is report
 
@@ -372,14 +390,14 @@ def test_trace_fig2a_structure(fig2a):
     res = np.abs(ker.value(tr.points[:, 0], tr.points[:, 1])) / ker.scale
     assert res.max() <= 1e-10
     rep = tr.report
-    assert tr.points[:, 0].min() == pytest.approx(rep.x_l, abs=1e-9)
-    assert tr.points[:, 0].max() == pytest.approx(rep.x_r, abs=1e-9)
+    assert tr.points[:, 0].min() == pytest.approx(rep.x.low, abs=1e-9)
+    assert tr.points[:, 0].max() == pytest.approx(rep.x.high, abs=1e-9)
 
 
 def test_trace_starts_at_left_corner_with_y_decreasing(fig2a):
     tr = q.trace_qplus(fig2a, 512)
     first = tr.arc_points("Q00")
-    assert first[0, 0] == pytest.approx(tr.report.x_l, abs=1e-9)
+    assert first[0, 0] == pytest.approx(tr.report.x.low, abs=1e-9)
     assert first[1, 1] <= first[0, 1] + 1e-12
 
 

@@ -139,6 +139,22 @@ def test_transpose_is_one_twin_per_walk():
         assert s.transpose() is not s
 
 
+def test_array_holding_records_compare_by_identity():
+    # Generated value equality over ndarray fields raises on == and hash.
+    a, b = q.presets.load("fig2d"), q.presets.load("fig2d")
+    pairs = [
+        (a, b),
+        (q.kernel(a), q.kernel(b)),
+        (q.truncated_stationary(a, 8), q.truncated_stationary(b, 8)),
+        (q.trace_qplus(a, 64), q.trace_qplus(b, 64)),
+    ]
+    for one, other in pairs:
+        assert one == one and one != other
+        assert len({one, other}) == 2
+    assert all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("interior", "horizontal", "vertical"))
+
+
 # --- drift ---
 
 

@@ -533,8 +533,8 @@ def _feasible_share(spec, draws=20_000):
     """Share of the sampler's log box where Q < 0, from one uniform draw."""
     report = q.branch_points(spec)
     clamp = oracle_mod.LOG_CLAMP
-    lo_u, lo_w = (max(math.log(v), clamp) if v > 0.0 else clamp for v in (report.x_l, report.y_b))
-    hi_u, hi_w = (min(0.0, math.log(v)) for v in (report.x_r, report.y_t))
+    lo_u, lo_w = (max(math.log(v), clamp) if v > 0.0 else clamp for v in (report.x.low, report.y.low))
+    hi_u, hi_w = (min(0.0, math.log(v)) for v in (report.x.high, report.y.high))
     rng = np.random.default_rng(0)
     u, w = rng.uniform(lo_u, hi_u, draws), rng.uniform(lo_w, hi_w, draws)
     return float(np.mean(q.kernel(spec).value(np.exp(u), np.exp(w)) < 0.0))

@@ -249,7 +249,7 @@ def test_construct_bytes_match_reference_bodies(tmp_path, capsys, monkeypatch):
 
         def load_walk(path):
             spec = load(path)
-            assert not set(spec.__dict__) & {"_kernel", "_branch_points"}
+            assert not set(spec.__dict__) & {"_kernel", "_axis"}
             loaded.append(spec)
             return spec
 
@@ -257,7 +257,7 @@ def test_construct_bytes_match_reference_bodies(tmp_path, capsys, monkeypatch):
         m.setattr(cli, "_load_walk", load_walk)
         reference = run_all()
         assert len(loaded) == len(walks)
-        assert all({"_kernel", "_branch_points"} <= set(s.__dict__) for s in loaded)
+        assert all({"_kernel", "_axis"} <= set(s.__dict__) for s in loaded)
     assert shipped == reference
     assert sum(code == 0 for code, _, _ in shipped) >= 10
 
