@@ -11,7 +11,7 @@ from .compensation import (
     assemble_measure,
     build_series,
     coefficient_ratio_h,
-    companion_v,
+    companion_v_status,
     t_value,
 )
 from .curve import (
@@ -20,7 +20,6 @@ from .curve import (
     KernelPoly,
     QPlusTrace,
     boundary_h,
-    boundary_v,
     branch_points,
     curve_boundary_intersections,
     detect_singularity,

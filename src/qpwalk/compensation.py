@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .curve import U_MARGIN, boundary_h, boundary_v, kernel, y_quadratic
+from .curve import U_MARGIN, Intersection, boundary_h, kernel, y_quadratic
 from .errors import (
     DegenerateT,
     Diverged,
@@ -146,11 +146,6 @@ def companion_v_status(term: TermLike, spec: WalkSpec) -> CompanionStatus:
     return CompanionStatus(WeightedTerm(rho, other, alpha), "ok", other)
 
 
-def companion_v(term: TermLike, spec: WalkSpec) -> Optional[WeightedTerm]:
-    """Companion sharing rho, or None at double roots and outside (0, 1)."""
-    return companion_v_status(term, spec).term
-
-
 def _ratio(T1: float, T2: float) -> float:
     if abs(T2) < T_DEGENERACY_TOL:
         raise DegenerateT(f"balancing value {T2} vanishes at working precision")
@@ -177,33 +172,21 @@ def coefficient_ratio_h(
 
 
 @dataclass(frozen=True)
-class SeriesStart:
-    point: tuple[float, float]
-    boundary: str  # H | V: the axis the seed balances alone
-
-    def to_dict(self) -> dict:
-        return {"point": list(self.point), "boundary": self.boundary}
-
-
-@dataclass(frozen=True)
 class CompensationSeries:
     """One alternating series produced by the compensation recursion."""
 
     terms: tuple[WeightedTerm, ...]
     links: tuple[str, ...]  # between consecutive terms: H-coupled | V-coupled
     tail_bound: float
-    start: SeriesStart
+    start: Intersection  # the seed; which is the axis it balances alone
     stopped: str  # converged | max-terms
-
-    def gamma(self) -> GammaSet:
-        return GammaSet(self.terms)
 
     def to_dict(self) -> dict:
         return {
             "terms": [t.to_dict() for t in self.terms],
             "links": list(self.links),
             "tail_bound": self.tail_bound,
-            "seed": self.start.to_dict(),
+            "seed": {"point": [self.start.x, self.start.y], "boundary": self.start.which},
             "stopped": self.stopped,
         }
 
@@ -240,9 +223,9 @@ def build_series(
     alternately in the direction opposite to the seeded boundary, each new
     coefficient chosen so the freshly coupled pair zeroes the other
     boundary sum.  The recursion stops once two consecutive stabilization
-    norms fall below tol; a companion failure with a below-tol tail
-    estimate also counts as convergence since the remaining terms cannot
-    move the partial sums.
+    norms fall below tol; a companion failure after at least one
+    companion, with a below-tol tail estimate, also counts as convergence
+    since the remaining terms cannot move the partial sums.
 
     Raises
     ------
@@ -253,8 +236,8 @@ def build_series(
     OffCurve
         If the seed fails its curve or boundary residual.
     StalledAtBranchPoint
-        If a companion is unavailable while the tail estimate still
-        exceeds tol.
+        If the seed has no companion, or a later companion is unavailable
+        while the tail estimate still exceeds tol.
     Diverged
         If term coordinates grow again after the grace period.
     """
@@ -274,19 +257,19 @@ def build_series(
     if abs(ker.value(rho0, sigma0)) > SEED_RESIDUAL_TOL * ker.scale:
         raise OffCurve(f"seed ({rho0}, {sigma0}) is not on the kernel curve")
     res_h = abs(boundary_h(spec, rho0, sigma0))
-    res_v = abs(boundary_v(spec, rho0, sigma0))
+    res_v = abs(boundary_h(spec.transpose(), sigma0, rho0))
     if min(res_h, res_v) > SEED_RESIDUAL_TOL:
         raise OffCurve(
             f"seed balances neither axis: |H| = {res_h}, |V| = {res_v}"
         )
     seeded = "H" if res_h <= res_v else "V"
-    start = SeriesStart((rho0, sigma0), seeded)
+    start = Intersection(rho0, sigma0, seeded)
 
     terms = [WeightedTerm(rho0, sigma0, 1.0)]
     links: list[str] = []
     norms: list[float] = []
     # A V-seed balances the vertical axis, so the first correction must
-    # repair the horizontal one: companion_v keeps rho and the H-ratio
+    # repair the horizontal one: companion_v_status keeps rho and the H-ratio
     # cancels bh_sum of the new pair.  The V-coupled step is the same step
     # in the walk's transposed twin, reached by transposing the term on the
     # way in and out.
@@ -338,13 +321,19 @@ def build_series(
 
     tail = _tail_estimate(norms)
     if stalled is not None:
-        if tail <= tol:
-            stopped = "converged"
-        else:
+        if not norms:
+            # The series would be the seed alone, which balances only the
+            # axis it was found on: no tail estimate can stand for the rest.
+            raise StalledAtBranchPoint(
+                f"the seed has no companion ({stalled.status}, raw root "
+                f"{stalled.value})"
+            )
+        if tail > tol:
             raise StalledAtBranchPoint(
                 f"companion unavailable ({stalled.status}, raw root "
                 f"{stalled.value}) with tail estimate {tail} > {tol}"
             )
+        stopped = "converged"
     return CompensationSeries(tuple(terms), tuple(links), tail, start, stopped)
 
 
@@ -357,10 +346,6 @@ class AssembledMeasure:
     condition: float
     report: object  # VerificationReport over the assembly window
     window: int
-
-    @property
-    def max_residual(self) -> float:
-        return self.report.worst
 
     def to_dict(self) -> dict:
         return {

@@ -69,12 +69,10 @@ class KernelPoly:
         One body serves both: it adds ``c[a][b] * x^a * y^b`` in (a, b)
         order, with ``x^2`` formed as ``x * x`` as numpy's ``x**2`` is.
         A float call therefore returns the bits of the matching entry of
-        an array call, and of the former form that ran every call through
-        numpy arrays.  An array call forms each term in one buffer and
-        adds it into the total in place: besides ``x * x`` and ``y * y``
-        it allocates those two arrays, where the former form made three
-        per term.  The inputs are only read.  Floats and 0-d arrays give a
-        float, arrays an array.
+        an array call.  An array call forms each term in one buffer and
+        adds it into the total in place, so besides ``x * x`` and ``y * y``
+        it allocates two arrays.  The inputs are only read.  Floats and 0-d
+        arrays give a float, arrays an array.
         """
         shape = ()
         if not (isinstance(x, float) and isinstance(y, float)):
@@ -427,15 +425,9 @@ def branch_points(spec: WalkSpec) -> BranchPointReport:
     diagonal neighbors.  The corners are the points of the positive
     component where the two y-roots (or x-roots) collide.
 
-    Each axis is computed once per walk and orientation: the y axis is
-    the x axis of ``spec.transpose()``, so a walk and its transpose share
-    their two axes, swapped.  The report is kept per WalkSpec too: the
-    trace and the convexity sampler of one walk read the same one.
+    The y axis is the x axis of ``spec.transpose()``; each is computed
+    once per walk.
     """
-    return _per_walk(spec, "_branch_points", _build_branch_points)
-
-
-def _build_branch_points(spec: WalkSpec) -> BranchPointReport:
     return BranchPointReport(_axis(spec), _axis(spec.transpose()))
 
 
@@ -604,11 +596,6 @@ def boundary_h(spec: WalkSpec, x, y):
     for s in (-1, 0, 1):
         total = total + x ** (1 - s) * (spec.h(s) + y * spec.p(s, -1))
     return total if np.ndim(total) else float(total)
-
-
-def boundary_v(spec: WalkSpec, x, y):
-    """Vertical-axis balance polynomial: boundary_h of the transposed walk."""
-    return boundary_h(spec.transpose(), y, x)
 
 
 @dataclass(frozen=True)

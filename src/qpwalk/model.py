@@ -12,7 +12,6 @@ and the origin combines ``h[1]``, ``v[1]`` and ``p[1][1]``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -111,11 +110,6 @@ class WalkSpec:
             np.array(data["horizontal"], dtype=float),
             np.array(data["vertical"], dtype=float),
         )
-
-    @classmethod
-    def from_file(cls, path) -> "WalkSpec":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
 
 
 def _per_walk(spec: WalkSpec, name: str, build):

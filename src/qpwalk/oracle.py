@@ -11,7 +11,7 @@ rest of the package stands on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -273,9 +273,6 @@ class VerificationReport:
             "sup_rel_error": self.sup_rel_error,
             "worst": self.worst,
         }
-
-    def with_oracle_error(self, err: float) -> "VerificationReport":
-        return replace(self, sup_rel_error=err)
 
 
 def _relative(residual: np.ndarray, mass: np.ndarray) -> np.ndarray:

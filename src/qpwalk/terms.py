@@ -63,9 +63,6 @@ class WeightedTerm:
     sigma: float
     alpha: float = 1.0
 
-    def value(self, i, j):
-        return self.alpha * self.rho ** np.asarray(i) * self.sigma ** np.asarray(j)
-
     def transpose(self) -> "WeightedTerm":
         """The same term for the walk with its coordinates exchanged."""
         return WeightedTerm(self.sigma, self.rho, self.alpha)
@@ -165,19 +162,6 @@ class GammaSet:
         """Evaluate the sum on (arrays of) lattice points; see ``_term_sum``."""
         total = _term_sum(self.terms, i, j)
         return total if total.shape else float(total)
-
-    def norm(self) -> float:
-        """Sum of absolute term masses over the quarter plane.
-
-        Finite only when every coordinate is below 1; terms on or above 1
-        contribute infinity.
-        """
-        total = 0.0
-        for t in self.terms:
-            if t.rho >= 1.0 or t.sigma >= 1.0:
-                return float("inf")
-            total += abs(t.alpha) / ((1.0 - t.rho) * (1.0 - t.sigma))
-        return total
 
     def to_dict(self) -> dict:
         return {"terms": [t.to_dict() for t in self.terms]}
@@ -338,8 +322,16 @@ def separating_exponent(
     A singleton set needs no separation, so (1, 1) works trivially.
     Products are compared in logs with a relative guard so ties are never
     resolved by rounding luck.
+
+    Raises
+    ------
+    IndexError
+        If i is not in ``range(len(g))``; a negative i would otherwise
+        count the term among its own rivals.
     """
     terms = g.terms
+    if i not in range(len(terms)):
+        raise IndexError(f"term index {i} is outside 0..{len(terms) - 1}")
     target = terms[i]
     others = [t for k, t in enumerate(terms) if k != i]
     if not others:

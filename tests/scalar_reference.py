@@ -168,7 +168,7 @@ def term_sum(terms, i, j):
     j = np.asarray(j)
     total = np.zeros(np.broadcast(i, j).shape)
     for t in terms:
-        total += t.value(i, j)
+        total += t.alpha * t.rho ** np.asarray(i) * t.sigma ** np.asarray(j)
     return total
 
 

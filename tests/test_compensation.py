@@ -1,20 +1,24 @@
 """Compensation series construction and superposition for eligible walks."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import qpwalk as q
-from qpwalk import presets
-from qpwalk.compensation import companion_v_status, t_value
+from qpwalk import cli, compensation, presets
+from qpwalk.compensation import CompanionStatus, companion_v_status, t_value
 from qpwalk.curve import U_MARGIN, y_quadratic
 from qpwalk.errors import (
+    DegenerateT,
+    Diverged,
     EmptyComponent,
     IllConditioned,
     MixedGroup,
     NotEligible,
     OffCurve,
+    StalledAtBranchPoint,
 )
 
 from conftest import PRESET_NAMES, random_walk
@@ -74,7 +78,7 @@ def test_companion_exits_unit_square_at_h_seed(switch, switch_seeds):
     st = companion_v_status(q.WeightedTerm(h.x, h.y, 1.0), switch)
     assert st.status == "exits-u"
     assert st.term is None
-    assert q.companion_v(q.WeightedTerm(h.x, h.y, 1.0), switch) is None
+    assert q.companion_v_status(q.WeightedTerm(h.x, h.y, 1.0), switch).term is None
 
 
 def test_companion_within_u_margin_of_one_exits_u():
@@ -121,9 +125,9 @@ def test_companion_vieta_product(switch, switch_series):
 
 def test_companion_involution(switch, switch_series):
     term = switch_series[0].terms[2]
-    down = q.companion_v(term, switch)
+    down = q.companion_v_status(term, switch).term
     if down is not None:
-        back = q.companion_v(down, switch)
+        back = q.companion_v_status(down, switch).term
         assert back is not None
         assert back.sigma == pytest.approx(term.sigma, rel=1e-9)
 
@@ -163,6 +167,15 @@ def test_series_coefficients_follow_ratios(switch, switch_series):
             assert t2.alpha == pytest.approx(ratio * t1.alpha, rel=1e-12)
 
 
+def test_ratio_at_a_vanishing_balancing_value_raises(switch, switch_seeds):
+    # The H seed balances the horizontal axis alone, so its T is zero up
+    # to rounding and cannot divide.
+    h = switch_seeds[0]
+    assert abs(t_value((h.x, h.y), switch)) < compensation.T_DEGENERACY_TOL
+    with pytest.raises(DegenerateT, match="vanishes at working precision"):
+        q.coefficient_ratio_h(((h.x, 0.5), (h.x, h.y)), switch)
+
+
 # --- series construction ---
 
 
@@ -185,9 +198,10 @@ def test_build_series_rejects_interior_curve_point(switch):
         if 0.02 < p[0] < 0.98 and 0.02 < p[1] < 0.98
     ]
     pt = inside[len(inside) // 2]
-    from qpwalk.curve import boundary_h, boundary_v
+    from qpwalk.curve import boundary_h
 
-    if min(abs(boundary_h(switch, *pt)), abs(boundary_v(switch, *pt))) > 1e-8:
+    res_v = boundary_h(switch.transpose(), pt[1], pt[0])
+    if min(abs(boundary_h(switch, *pt)), abs(res_v)) > 1e-8:
         with pytest.raises(OffCurve):
             q.build_series(switch, tuple(pt))
 
@@ -205,8 +219,8 @@ def test_switch_series_shapes(switch_series):
     assert len(h.terms) == 26
     assert len(v.terms) == 27
     assert h.stopped == v.stopped == "converged"
-    assert h.start.boundary == "H"
-    assert v.start.boundary == "V"
+    assert h.start.which == "H"
+    assert v.start.which == "V"
     assert h.tail_bound <= 1e-12 and v.tail_bound <= 1e-12
 
 
@@ -284,8 +298,8 @@ def test_series_of_transposed_walk_is_the_mirror_image(name):
             (t.rho, t.sigma, t.alpha) for t in mirror.terms
         ]
         assert [SWAPPED[link] for link in ser.links] == list(mirror.links)
-        assert mirror.start.boundary == SWAPPED[ser.start.boundary]
-        assert mirror.start.point == (s.y, s.x)
+        assert mirror.start.which == SWAPPED[ser.start.which]
+        assert (mirror.start.x, mirror.start.y) == (s.y, s.x)
         assert (mirror.tail_bound, mirror.stopped) == (ser.tail_bound, ser.stopped)
 
 
@@ -310,7 +324,7 @@ def test_assembled_switch_measure(switch_measure):
     )
     assert switch_measure.condition < 100.0
     assert len(switch_measure.gamma) == 53
-    assert switch_measure.max_residual <= 1e-8
+    assert switch_measure.report.worst <= 1e-8
 
 
 def test_assembled_measure_normalized(switch_measure):
@@ -367,3 +381,69 @@ def test_seed_beside_the_unit_root_is_found(seed, draw):
     assert measure.report.worst <= 1e-10
     oracle = q.truncated_stationary(spec, 80)
     assert q.compare(measure.gamma, oracle, core=8) <= 1e-6
+
+
+# --- series that stop short ---
+
+
+def _stall_walk():
+    """An ergodic eligible walk (draw 253 of generator seed 1, drift
+    criterion margin 0.092) whose three H seeds end in three ways: one
+    series converges, one stalls mid-way, and one seed has no companion."""
+    rng = np.random.default_rng(1)
+    for _ in range(253):
+        spec = random_walk(rng, forced=True)
+    return spec
+
+
+def _h_seed(spec, x):
+    return next(s for s in q.curve_boundary_intersections(spec)
+                if s.which == "H" and abs(s.x - x) < 1e-4)
+
+
+def test_seed_without_a_companion_stalls():
+    # The seed balances the horizontal axis only, and the companion that
+    # would repair the vertical one is the root 1.0511, outside the square.
+    spec = _stall_walk()
+    seed = _h_seed(spec, 0.51480)
+    assert abs(q.boundary_h(spec.transpose(), seed.y, seed.x)) > 0.1
+    with pytest.raises(StalledAtBranchPoint,
+                       match=r"^the seed has no companion \(exits-u, raw root 1\.051"):
+        q.build_series(spec, seed)
+
+
+def test_series_stalls_mid_way_with_a_large_tail():
+    spec = _stall_walk()
+    with pytest.raises(StalledAtBranchPoint,
+                       match=r"^companion unavailable \(exits-u, raw root 1\.058\d*\) "
+                             r"with tail estimate 307\d\.\d+ > 1e-12$"):
+        q.build_series(spec, _h_seed(spec, 0.17616))
+
+
+def test_construct_leaves_out_a_seed_without_a_companion(tmp_path, capsys):
+    # Kept as a one-term series, the seed without a companion balanced one
+    # axis only and left the assembled measure 1.6e-2 off balance.
+    walk, measure = tmp_path / "walk.json", tmp_path / "measure.json"
+    walk.write_text(cli.dumps(_stall_walk().to_dict()))
+    assert cli.main(["construct", str(walk), "-o", str(measure)]) == 0
+    doc = json.loads(measure.read_text())
+    assert [f["error"] for f in doc["failures"]] == ["StalledAtBranchPoint"] * 2
+    assert len(doc["series"]) == 2
+    assert doc["residual_summary"]["worst"] <= 1e-12
+    assert cli.main(["verify", str(walk), str(measure), "--oracle-n", "80"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["sup_rel_error"] <= 1e-12
+
+
+def test_growing_envelope_diverges(switch, switch_seeds, monkeypatch):
+    # No walk met so far makes a series grow, so the companion step is
+    # replaced by one that keeps the shared coordinate and moves the other
+    # above the term's envelope; the curve check is switched off with it.
+    def growing(term, spec):
+        rho, sigma = compensation._coords(term)
+        grown = q.WeightedTerm(rho, 1.05 * max(rho, sigma))
+        return CompanionStatus(grown, "ok", grown.sigma)
+
+    monkeypatch.setattr(compensation, "companion_v_status", growing)
+    monkeypatch.setattr(compensation, "SERIES_RESIDUAL_TOL", math.inf)
+    with pytest.raises(Diverged, match=r"^term envelope grew from \S+ to \S+ at step 5$"):
+        q.build_series(switch, switch_seeds[0])

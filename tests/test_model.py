@@ -1,7 +1,5 @@
 """Walk construction, validation, drift and singular-support classification."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -107,13 +105,6 @@ def test_from_dict_switch_override(switch):
     built = q.WalkSpec.from_dict({"switch": params})
     assert np.array_equal(built.interior, switch.interior)
     assert np.array_equal(built.horizontal, switch.horizontal)
-
-
-def test_from_file_reads_json(tmp_path, fig2b):
-    path = tmp_path / "walk.json"
-    path.write_text(json.dumps(fig2b.to_dict()))
-    spec = q.WalkSpec.from_file(path)
-    assert np.array_equal(spec.interior, fig2b.interior)
 
 
 def test_arrays_are_read_only(fig2a):

@@ -17,12 +17,6 @@ def terms_of(*pairs):
 # --- WeightedTerm / GammaSet basics ---
 
 
-def test_term_value():
-    t = q.WeightedTerm(0.5, 0.25, 2.0)
-    assert t.value(2, 1) == pytest.approx(2.0 * 0.25 * 0.25)
-    assert t.value(0, 0) == pytest.approx(2.0)
-
-
 def test_term_dict_round_trip():
     t = q.WeightedTerm(0.3, 0.7, -1.5)
     back = q.WeightedTerm.from_dict(t.to_dict())
@@ -67,12 +61,6 @@ def test_gamma_set_value_superposes():
     g = terms_of((0.5, 0.5, 1.0), (0.25, 0.75, -0.5))
     expect = 0.5**2 * 0.5**3 - 0.5 * 0.25**2 * 0.75**3
     assert g.value(2, 3) == pytest.approx(expect, abs=1e-16)
-
-
-def test_gamma_set_norm_infinite_outside_unit_square():
-    g = terms_of((0.5, 1.0, 1.0))
-    assert g.norm() == np.inf
-    assert terms_of((0.5, 0.5, 2.0)).norm() == pytest.approx(8.0)
 
 
 def test_gamma_set_from_dict_accepts_both_shapes():
@@ -223,6 +211,16 @@ def test_separating_exponent_dominated_term_is_none():
     g = terms_of((0.5, 0.5, 1.0), (0.6, 0.5, 1.0))
     assert q.separating_exponent(g, 0) is None
     assert q.separating_exponent(g, 1) == (1, 1)
+
+
+def test_separating_exponent_rejects_an_index_outside_the_set():
+    # A negative index would count the term among its own rivals: index -2
+    # names the same term as index 0, whose answer is (1, 1).
+    g = terms_of((0.5, 0.4, 1.0), (0.3, 0.2, -0.5))
+    assert q.separating_exponent(g, 0) == (1, 1)
+    for i in (-2, -1, 2):
+        with pytest.raises(IndexError, match=f"term index {i} is outside 0..1"):
+            q.separating_exponent(g, i)
 
 
 def test_separating_exponent_actually_separates():
