@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .curve import U_MARGIN, Intersection, boundary_h, kernel, y_quadratic
+from .curve import U_MARGIN, Intersection, KernelPoly, boundary_h, kernel, y_quadratic
 from .errors import (
     DegenerateT,
     Diverged,
@@ -57,23 +57,28 @@ def t_value(term: TermLike, spec: WalkSpec) -> float:
     A weighted pair sharing rho balances the horizontal axis exactly when
     the T-weighted coefficients cancel; see coefficient_ratio_h.
     """
-    return _per_walk(spec, "_t", _build_t)(term)
+    return _t_of(spec)(*_coords(term))
 
 
-def _build_t(spec: WalkSpec) -> Callable[[TermLike], float]:
-    """t_value for one walk, with its step constants read once: the two
+def _t_of(spec: WalkSpec) -> Callable[[float, float], float]:
+    """T of one walk as a function of (rho, sigma), kept per walk."""
+    return _per_walk(spec, "_t", _build_t)
+
+
+def _build_t(spec: WalkSpec) -> Callable[[float, float], float]:
+    """T for one walk, with its step constants read once: the two
     horizontal axis steps, the north mass and the three south steps."""
     east, west = spec.h(1), spec.h(-1)
     north = sum(spec.p(s, 1) for s in OFFSETS)
-    south_steps = [(s, spec.p(s, -1)) for s in OFFSETS]
+    south_w, south_0, south_e = (spec.p(s, -1) for s in OFFSETS)
 
-    def t(term: TermLike) -> float:
-        rho, sigma = _coords(term)
+    def t(rho: float, sigma: float) -> float:
         if not rho > 0.0:
             raise ValueError(
                 f"t_value needs rho > 0 (sigma > 0 in the vertical form), got {rho}"
             )
-        south = sum(rho ** (-s) * p for s, p in south_steps)
+        # rho^(-s) p(s, -1) in OFFSETS order; rho^1 and rho^0 p are exact.
+        south = sum((rho * south_w, south_0, rho ** -1 * south_e))
         return (1.0 - 1.0 / rho) * east + (1.0 - rho) * west + north - sigma * south
 
     return t
@@ -107,25 +112,29 @@ def _other_root(A: float, B: float, C: float, known: float) -> float:
     # One Newton step tightens the Vieta value to full precision.  Near a
     # double root the derivative collapses and the step would fling the
     # value half a root away, so polishing only runs when well posed.
+    two_a = 2.0 * A
     for _ in range(2):
-        d = 2.0 * A * other + B
-        if not math.isfinite(other) or abs(d) <= 1e-8 * max(
-            abs(2.0 * A * other), abs(B)
-        ):
+        if not math.isfinite(other):
+            break
+        lead = two_a * other
+        d = lead + B
+        if abs(d) <= 1e-8 * max(abs(lead), abs(B)):
             break
         other -= (A * other * other + B * other + C) / d
     return other
 
 
-def companion_v_status(term: TermLike, spec: WalkSpec) -> CompanionStatus:
-    """Other root of the kernel quadratic in y at the term's x-coordinate."""
-    ker = kernel(spec)
-    rho, sigma = _coords(term)
+def _companion(ker: KernelPoly, rho: float, sigma: float) -> tuple[str, float]:
+    """Status and raw value of the other root of ``Q(rho, .)`` beside the
+    curve point (rho, sigma); see companion_v_status.
+
+    Raises OffCurve when (rho, sigma) is not on the curve.
+    """
     if abs(ker.value(rho, sigma)) > SEED_RESIDUAL_TOL * ker.scale * max(
         1.0, rho * rho
     ) * max(1.0, sigma * sigma):
         raise OffCurve(f"({rho}, {sigma}) is not on the kernel curve")
-    A, B, C = (float(v) for v in y_quadratic(ker, rho))
+    A, B, C = y_quadratic(ker, rho)
     other = _other_root(A, B, C, sigma)
 
     # Equality is judged at the scale of the roots themselves: deep in a
@@ -137,11 +146,20 @@ def companion_v_status(term: TermLike, spec: WalkSpec) -> CompanionStatus:
     if math.isfinite(other) and abs(other - sigma) <= DOUBLE_ROOT_SEP * max(
         abs(sigma), abs(other)
     ):
-        return CompanionStatus(None, "double-root", other)
+        return "double-root", other
     if not math.isfinite(other) or other >= 1.0 - U_MARGIN:
-        return CompanionStatus(None, "exits-u", other)
+        return "exits-u", other
     if other <= 0.0:
-        return CompanionStatus(None, "nonpositive", other)
+        return "nonpositive", other
+    return "ok", other
+
+
+def companion_v_status(term: TermLike, spec: WalkSpec) -> CompanionStatus:
+    """Other root of the kernel quadratic in y at the term's x-coordinate."""
+    rho, sigma = _coords(term)
+    status, other = _companion(kernel(spec), rho, sigma)
+    if status != "ok":
+        return CompanionStatus(None, status, other)
     alpha = term.alpha if isinstance(term, WeightedTerm) else 1.0
     return CompanionStatus(WeightedTerm(rho, other, alpha), "ok", other)
 
@@ -162,13 +180,14 @@ def coefficient_ratio_h(
     companion is not needed; the ratio is then 0.
     """
     t1, t2 = pair
-    r1, _ = _coords(t1)
-    r2, _ = _coords(t2)
+    r1, s1 = _coords(t1)
+    r2, s2 = _coords(t2)
     if not _close(r1, r2):
         raise MixedGroup(
             f"pair does not share rho (sigma in the vertical form): {r1} vs {r2}"
         )
-    return _ratio(t_value(t1, spec), t_value(t2, spec))
+    t = _t_of(spec)
+    return _ratio(t(r1, s1), t(r2, s2))
 
 
 @dataclass(frozen=True)
@@ -191,13 +210,11 @@ class CompensationSeries:
         }
 
 
-def _series_norm(new: WeightedTerm, prev: WeightedTerm) -> float:
+def _series_norm(alpha: float, x: float, y: float, prev_alpha: float) -> float:
     # Envelope of the new term plus the drift of |alpha|: both must settle
     # for the partial sums to stabilize, since |alpha| can tend to a
     # nonzero constant while the coordinates vanish.
-    return abs(new.alpha) * max(new.rho, new.sigma) + abs(
-        abs(new.alpha) - abs(prev.alpha)
-    )
+    return abs(alpha) * max(x, y) + abs(abs(alpha) - abs(prev_alpha))
 
 
 def _tail_estimate(norms: list[float]) -> float:
@@ -208,6 +225,37 @@ def _tail_estimate(norms: list[float]) -> float:
     r = norms[-1] / norms[-2]
     r = min(max(r, 0.0), 0.95)
     return norms[-1] * r / (1.0 - r)
+
+
+def _step(
+    ker: KernelPoly, frame: tuple, x: float, y: float, alpha: float
+) -> tuple[str, float, float, float]:
+    """One compensation step from the term (x, y, alpha) of a series.
+
+    ``frame`` is ``(kernel, T, swap)`` of the walk the step runs in: the
+    walk itself for an H-coupled step, which keeps x, and its transposed
+    twin, with ``swap`` set, for a V-coupled one, which keeps y.  The
+    companion's coefficient makes the pair cancel that walk's horizontal
+    sum; the new term must then lie on ``ker``, the walk's own kernel.
+
+    Returns ``("ok", x, y, alpha)`` of the new term; ``("balanced", x, y,
+    alpha)`` of the old term when the new coefficient vanishes, because
+    the old term already balanced the axis alone; or the companion's
+    status and raw root (in place of x) when there is no companion.
+    """
+    walk_ker, t, swap = frame
+    keep, move = (y, x) if swap else (x, y)
+    status, other = _companion(walk_ker, keep, move)
+    if status != "ok":
+        return status, other, y, alpha
+    new_alpha = _ratio(t(keep, move), t(keep, other)) * alpha
+    if new_alpha == 0.0:
+        return "balanced", x, y, alpha
+    x, y = (other, keep) if swap else (keep, other)
+    residual = abs(ker.value(x, y)) / ker.scale
+    if residual > SERIES_RESIDUAL_TOL:
+        raise OffCurve(f"companion ({x}, {y}) drifted off the curve: {residual}")
+    return "ok", x, y, new_alpha
 
 
 def build_series(
@@ -227,10 +275,17 @@ def build_series(
     companion, with a below-tol tail estimate, also counts as convergence
     since the remaining terms cannot move the partial sums.
 
+    The recursion is a loop of ``_step`` over the state (x, y, alpha,
+    side) of the last term on Python floats.  ``_step`` runs the bodies
+    that ``companion_v_status``, ``coefficient_ratio_h`` and ``t_value``
+    wrap, so the loop and the public functions share their arithmetic; a
+    ``WeightedTerm`` is made once per kept term.
+
     Raises
     ------
     ValueError
-        If tol is not positive and finite.
+        If tol is not positive and finite, or max_terms is below 2: a
+        series of the seed alone balances one axis only.
     NotEligible
         If the walk has a north, northeast or east interior step.
     OffCurve
@@ -243,6 +298,8 @@ def build_series(
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance tol = {tol} must be positive and finite")
+    if max_terms < 2:
+        raise ValueError(f"max_terms = {max_terms} is too small, need max_terms >= 2")
     if not eligible(spec):
         raise NotEligible(
             "interior east/northeast/north probabilities must vanish: "
@@ -256,8 +313,9 @@ def build_series(
     ker = kernel(spec)
     if abs(ker.value(rho0, sigma0)) > SEED_RESIDUAL_TOL * ker.scale:
         raise OffCurve(f"seed ({rho0}, {sigma0}) is not on the kernel curve")
+    twin = spec.transpose()
     res_h = abs(boundary_h(spec, rho0, sigma0))
-    res_v = abs(boundary_h(spec.transpose(), sigma0, rho0))
+    res_v = abs(boundary_h(twin, sigma0, rho0))
     if min(res_h, res_v) > SEED_RESIDUAL_TOL:
         raise OffCurve(
             f"seed balances neither axis: |H| = {res_h}, |V| = {res_v}"
@@ -269,47 +327,35 @@ def build_series(
     links: list[str] = []
     norms: list[float] = []
     # A V-seed balances the vertical axis, so the first correction must
-    # repair the horizontal one: companion_v_status keeps rho and the H-ratio
-    # cancels bh_sum of the new pair.  The V-coupled step is the same step
-    # in the walk's transposed twin, reached by transposing the term on the
-    # way in and out.
-    frames = (
-        (spec, "H-coupled", lambda t: t),
-        (spec.transpose(), "V-coupled", WeightedTerm.transpose),
-    )
+    # repair the horizontal one: an H-coupled step keeps rho and cancels
+    # bh_sum of the new pair.  The V-coupled step is the same step in the
+    # walk's transposed twin.
+    frames = ((kernel(spec), _t_of(spec), False), (kernel(twin), _t_of(twin), True))
+    link_names = ("H-coupled", "V-coupled")
+    x, y, alpha = rho0, sigma0, 1.0
     side = 0 if seeded == "V" else 1
     stopped = "max-terms"
-    stalled: Optional[CompanionStatus] = None
+    stalled: Optional[tuple[str, float]] = None
 
     while len(terms) < max_terms:
-        prev = terms[-1]
-        walk, link, mirror = frames[side]
-        status = companion_v_status(mirror(prev), walk)
-        if status.term is None:
-            stalled = status
-            break
-        alpha = coefficient_ratio_h((mirror(prev), status.term), walk) * prev.alpha
-        if alpha == 0.0:
-            # The previous term already balanced the axis alone; nothing
-            # further to compensate.
+        status, nx, ny, new_alpha = _step(ker, frames[side], x, y, alpha)
+        if status == "balanced":
             stopped = "converged"
             break
-        new = mirror(WeightedTerm(status.term.rho, status.term.sigma, alpha))
-        residual = abs(ker.value(new.rho, new.sigma)) / ker.scale
-        if residual > SERIES_RESIDUAL_TOL:
-            raise OffCurve(
-                f"companion ({new.rho}, {new.sigma}) drifted off the curve: "
-                f"{residual}"
-            )
-        terms.append(new)
-        links.append(link)
+        if status != "ok":
+            stalled = (status, nx)
+            break
+        terms.append(WeightedTerm(nx, ny, new_alpha))
+        links.append(link_names[side])
         side = 1 - side
-        norms.append(_series_norm(new, prev))
+        norms.append(_series_norm(new_alpha, nx, ny, alpha))
+        x, y, alpha = nx, ny, new_alpha
 
         k = len(terms) - 1
         if k > DIVERGENCE_GRACE:
-            env_now = max(new.rho, new.sigma)
-            env_before = max(terms[k - 2].rho, terms[k - 2].sigma)
+            env_now = max(x, y)
+            before = terms[k - 2]
+            env_before = max(before.rho, before.sigma)
             if env_now > env_before * (1.0 + 1e-12):
                 raise Diverged(
                     f"term envelope grew from {env_before} to {env_now} "
@@ -321,17 +367,17 @@ def build_series(
 
     tail = _tail_estimate(norms)
     if stalled is not None:
+        status, raw = stalled
         if not norms:
             # The series would be the seed alone, which balances only the
             # axis it was found on: no tail estimate can stand for the rest.
             raise StalledAtBranchPoint(
-                f"the seed has no companion ({stalled.status}, raw root "
-                f"{stalled.value})"
+                f"the seed has no companion ({status}, raw root {raw})"
             )
         if tail > tol:
             raise StalledAtBranchPoint(
-                f"companion unavailable ({stalled.status}, raw root "
-                f"{stalled.value}) with tail estimate {tail} > {tol}"
+                f"companion unavailable ({status}, raw root {raw}) "
+                f"with tail estimate {tail} > {tol}"
             )
         stopped = "converged"
     return CompensationSeries(tuple(terms), tuple(links), tail, start, stopped)
@@ -367,12 +413,16 @@ def _folded_terms(series: CompensationSeries) -> list[WeightedTerm]:
     return terms
 
 
-def _corner_residuals(spec: WalkSpec, terms: Sequence[WeightedTerm]) -> np.ndarray:
-    """Raw balance residuals at the origin, (1, 0), (0, 1) and (1, 1)."""
-    I, J = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
-    m = _term_sum(terms, I, J)
-    interior, horiz, vert, origin = _grid_residuals(spec, m, 1)
-    return np.array([origin, horiz[0], vert[0], interior[0, 0]])
+def _corner_residuals(
+    spec: WalkSpec, series_terms: Sequence[Sequence[WeightedTerm]]
+) -> np.ndarray:
+    """Raw balance residuals at the origin, (1, 0), (0, 1) and (1, 1), as
+    four rows with one column per term list: the term sums on {0, 1, 2}
+    squared, stacked, go through one ``_grid_residuals`` call."""
+    idx = np.arange(3)
+    grids = np.array([_term_sum(terms, idx[:, None], idx[None, :]) for terms in series_terms])
+    interior, horiz, vert, origin = _grid_residuals(spec, grids, 1)
+    return np.array([origin, horiz[:, 0], vert[:, 0], interior[:, 0, 0]])
 
 
 def _mass(terms: Sequence[WeightedTerm]) -> float:
@@ -405,9 +455,8 @@ def assemble_measure(
     folded = [_folded_terms(s) for s in series_list]
     k = len(folded)
     A = np.zeros((5, k))
-    for col, terms in enumerate(folded):
-        A[:4, col] = _corner_residuals(spec, terms)
-        A[4, col] = _mass(terms)
+    A[:4] = _corner_residuals(spec, folded)
+    A[4] = [_mass(terms) for terms in folded]
     b = np.zeros(5)
     b[4] = 1.0
 
@@ -426,10 +475,10 @@ def assemble_measure(
         raise IllConditioned(
             f"assembled superposition has vanishing total mass {total}"
         )
-    weights = weights / total
+    weights = (weights / total).tolist()
 
     merged = _merge_terms(
-        WeightedTerm(t.rho, t.sigma, float(w) * t.alpha)
+        WeightedTerm(t.rho, t.sigma, w * t.alpha)
         for w, terms in zip(weights, folded)
         for t in terms
     )
@@ -438,7 +487,7 @@ def assemble_measure(
     report = balance_residuals(spec, gamma, window=window)
     return AssembledMeasure(
         gamma=gamma,
-        weights=tuple(float(w) for w in weights),
+        weights=tuple(weights),
         condition=condition,
         report=report,
         window=window,

@@ -63,6 +63,11 @@ class KernelPoly:
         # per-call overhead and rounds exactly as numpy does.
         return self.c.tolist()
 
+    @cached_property
+    def _later(self) -> list[tuple[float, int, int]]:
+        # (c[a][b], a, b) of the terms after (0, 0), in the order added.
+        return [(self._coeffs[a][b], a, b) for a, b in _LATER_TERMS]
+
     def value(self, x, y):
         """Evaluate Q at floats, or at arrays, which broadcast.
 
@@ -81,18 +86,17 @@ class KernelPoly:
             shape = np.broadcast_shapes(x.shape, y.shape)
         xs = (1.0, x, x * x)
         ys = (1.0, y, y * y)
-        c = self._coeffs
         # A factor 1.0 changes no bit, so the (0, 0) term is c[0][0] and
         # the array form skips the factor in the terms with a or b zero.
-        total = 0.0 + c[0][0]
+        total = 0.0 + self._coeffs[0][0]
         if shape:
             total = np.full(shape, total)
             term = np.empty(shape)
-        for a, b in _LATER_TERMS:
+        for coef, a, b in self._later:
             if not shape:
-                total = total + c[a][b] * xs[a] * ys[b]
+                total = total + coef * xs[a] * ys[b]
                 continue
-            np.multiply(c[a][b], xs[a] if a else ys[b], out=term)
+            np.multiply(coef, xs[a] if a else ys[b], out=term)
             if a and b:
                 term *= ys[b]
             total += term
@@ -176,10 +180,9 @@ def real_roots(coeffs: np.ndarray) -> tuple[list[float], int]:
         return [], n_inf
 
     monic = coeffs[: deg + 1] / coeffs[deg]
-    companion = np.zeros((deg, deg))
-    companion[1:, :-1] = np.eye(deg - 1)
+    companion = np.eye(deg, k=-1)
     companion[:, -1] = -monic[:deg]
-    eigs = np.linalg.eigvals(companion)
+    eigs = np.linalg.eigvals(companion).tolist()
 
     poly = coeffs[: deg + 1].tolist()
     deriv = [j * c for j, c in enumerate(poly)][1:]  # numpy's polyder products
@@ -589,12 +592,19 @@ def boundary_h(spec: WalkSpec, x, y):
 
     ``boundary_h(rho, sigma) = 0`` says the geometric term ``rho^i sigma^j``
     satisfies the balance equation on the horizontal axis by itself.
+
+    Floats give a float and run on Python floats; anything else runs as
+    float arrays, and a 0-d result is returned as a float.  The powers
+    ``x^(1-s)`` are ``x * x``, ``x`` and ``1.0``, the values numpy's
+    ``x ** 2``, ``x ** 1`` and ``x ** 0`` give an array, so both forms
+    return the same bits.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    if not (isinstance(x, float) and isinstance(y, float)):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
     total = -x
-    for s in (-1, 0, 1):
-        total = total + x ** (1 - s) * (spec.h(s) + y * spec.p(s, -1))
+    for s, power in zip((-1, 0, 1), (x * x, x, 1.0)):
+        total = total + power * (spec.h(s) + y * spec.p(s, -1))
     return total if np.ndim(total) else float(total)
 
 

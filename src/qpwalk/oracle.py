@@ -276,16 +276,45 @@ class VerificationReport:
 
 
 def _relative(residual: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.abs(residual) / np.abs(mass)
+    """|residual| / |mass|, with 0/0 read as 0; callers open the
+    ``np.errstate`` that lets x/0 and 0/0 pass without a warning."""
+    out = np.abs(residual) / np.abs(mass)
     return np.where(np.isnan(out), 0.0, out)
+
+
+def _inflow(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """Sum of ``weights[k] * windows[..., k, :]`` over k, added in k order.
+
+    One product and one sequential ``np.add.accumulate``: the roundings of
+    ``+=`` from zero, with ``+ 0.0`` giving a sum of negative zeros the
+    sign that such a sum has (see ``terms._term_sum``).
+    """
+    return np.add.accumulate(weights * windows, axis=-2)[..., -1, :] + 0.0
+
+
+def _axis_residuals(walk: WalkSpec, m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Raw balance residuals at cells 1..W of the horizontal axis, of a grid
+    or a stack of grids: the inflow from columns 0 and 1 of the rows that
+    ``rows`` (3, W) names, by ``h(s)`` and ``p(s, -1)``, added in (s,
+    column) order."""
+    W = rows.shape[1]
+    weights = np.concatenate((walk.horizontal[:, None], walk.interior[:, :1]), axis=1)
+    windows = m[..., rows[:, None, :], np.arange(2)[:, None]]  # (..., 3, 2, W)
+    inflow = _inflow(weights.reshape(6, 1), windows.reshape(*m.shape[:-2], 6, W))
+    return m[..., 1 : W + 1, 0] - inflow
 
 
 def _grid_residuals(spec: WalkSpec, m: np.ndarray, window: int):
     """Raw balance residuals (interior, horizontal, vertical, origin) of a
-    measure grid: each state's mass minus its inflow, on {0..window}
-    squared.  The vertical axis is the horizontal one of the transposed
-    walk and grid.
+    measure grid, or of grids stacked on leading axes: each state's mass
+    minus its inflow, on {0..window} squared.  The vertical axis is the
+    horizontal one of the transposed walk and grid.
+
+    Each inflow gathers its shifted windows of the grid at once (nine for
+    the interior, six for each axis, four cells for the origin), weighs
+    them by their step probabilities and adds them in (s, t) order with
+    one accumulate: the roundings of adding one shifted slice at a time,
+    so a stack of grids gives the bytes of separate calls.
 
     The grid must extend at least one cell past the window in each
     direction so inflow sums stay inside it.
@@ -293,33 +322,24 @@ def _grid_residuals(spec: WalkSpec, m: np.ndarray, window: int):
     W = window
     if W < 1:
         raise ValueError(f"window {W} is too small, need window >= 1")
-    if m.shape[0] < W + 2 or m.shape[1] < W + 2:
+    if m.shape[-2] < W + 2 or m.shape[-1] < W + 2:
         raise ValueError(f"grid {m.shape} too small for window {W}")
+    lead = m.shape[:-2]
 
-    inflow = np.zeros((W, W))
-    for s in OFFSETS:
-        for t in OFFSETS:
-            inflow += spec.p(s, t) * m[1 - s : W + 1 - s, 1 - t : W + 1 - t]
-
-    def horizontal(spec: WalkSpec, m: np.ndarray) -> np.ndarray:
-        inflow_h = np.zeros(W)
-        for s in OFFSETS:
-            inflow_h += spec.h(s) * m[1 - s : W + 1 - s, 0]
-            inflow_h += spec.p(s, -1) * m[1 - s : W + 1 - s, 1]
-        return m[1 : W + 1, 0] - inflow_h
+    # rows[s + 1] are the rows 1 - s .. W - s that step s moves to rows 1 .. W.
+    rows = np.arange(2, -1, -1)[:, None] + np.arange(W)
+    windows = m[..., rows[:, None, :, None], rows[None, :, None, :]]  # (..., 3, 3, W, W)
+    inflow = _inflow(spec.interior.reshape(9, 1), windows.reshape(*lead, 9, W * W))
 
     stay = 1.0 - spec.h(1) - spec.v(1) - spec.p(1, 1)
-    inflow_o = (
-        m[0, 0] * stay
-        + m[1, 0] * spec.h(-1)
-        + m[0, 1] * spec.v(-1)
-        + m[1, 1] * spec.p(-1, -1)
-    )
+    to_origin = np.array([stay, spec.h(-1), spec.v(-1), spec.p(-1, -1)])
+    cells = m[..., (0, 1, 0, 1), (0, 0, 1, 1)]  # (0, 0), (1, 0), (0, 1), (1, 1)
+    inflow_o = np.add.accumulate(cells * to_origin, axis=-1)[..., -1]
     return (
-        m[1 : W + 1, 1 : W + 1] - inflow,
-        horizontal(spec, m),
-        horizontal(spec.transpose(), m.T),
-        m[0, 0] - inflow_o,
+        m[..., 1 : W + 1, 1 : W + 1] - inflow.reshape(*lead, W, W),
+        _axis_residuals(spec, m, rows),
+        _axis_residuals(spec.transpose(), np.swapaxes(m, -1, -2), rows),
+        m[..., 0, 0] - inflow_o,
     )
 
 
@@ -330,17 +350,15 @@ def grid_residual_report(
     squared, relative to the local mass; see _grid_residuals."""
     W = window
     interior, horiz, vert, origin = _grid_residuals(spec, m, W)
-    return VerificationReport(
-        max_residual_interior=float(
-            _relative(interior, m[1 : W + 1, 1 : W + 1]).max()
-        ),
-        max_residual_h=float(_relative(horiz, m[1 : W + 1, 0]).max()),
-        max_residual_v=float(_relative(vert, m[0, 1 : W + 1]).max()),
-        max_residual_origin=float(
-            _relative(np.asarray(origin), np.asarray(m[0, 0]))
-        ),
-        window=window,
+    # The four regions in one array, so that one division serves them all.
+    residual = np.concatenate((interior.ravel(), horiz, vert, np.reshape(origin, 1)))
+    mass = np.concatenate(
+        (m[1 : W + 1, 1 : W + 1].ravel(), m[1 : W + 1, 0], m[0, 1 : W + 1], m[:1, 0])
     )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        relative = _relative(residual, mass)
+    worst = np.maximum.reduceat(relative, (0, W * W, W * W + W, W * W + 2 * W))
+    return VerificationReport(*worst.tolist(), window=window)
 
 
 def balance_residuals(
@@ -348,8 +366,7 @@ def balance_residuals(
 ) -> VerificationReport:
     """Plug a geometric-sum measure into the balance equations verbatim."""
     idx = np.arange(window + 2)
-    I, J = np.meshgrid(idx, idx, indexing="ij")
-    m = g.value(I, J)
+    m = g.value(idx[:, None], idx[None, :])
     return grid_residual_report(spec, m, window)
 
 
@@ -370,8 +387,7 @@ def compare(g: GammaSet, oracle: LatticeWindow, core: int) -> float:
         raise ValueError(f"core {core} of truncation {oracle.n} is below 1, need n >= 11")
     pi = oracle.core(core)
     idx = np.arange(core + 1)
-    I, J = np.meshgrid(idx, idx, indexing="ij")
-    m = g.value(I, J)
+    m = g.value(idx[:, None], idx[None, :])
     m = m / m.sum()
     mask = pi >= MASS_FLOOR
     return float(np.abs((m[mask] - pi[mask]) / pi[mask]).max())

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -78,22 +79,53 @@ class WeightedTerm:
 def _term_sum(terms: Sequence[WeightedTerm], i, j):
     """``sum_k alpha_k rho_k^i sigma_k^j`` on (arrays of) lattice points.
 
-    Every term is evaluated in one broadcast; the rows are then added in
-    term order, as repeated ``+=`` would add them (``np.sum`` would pair
-    them and round differently).
+    Every term is evaluated in one broadcast, and one ``np.add.accumulate``
+    adds the rows in term order, as repeated ``+=`` from zero would add
+    them (``np.sum`` would pair them and round differently).  The final
+    ``+ 0.0`` gives a sum of negative zeros the sign that a sum started at
+    0.0 has, and changes no other value.  Pass a grid as the open pair
+    ``idx[:, None], idx[None, :]``, not a meshgrid, so that each power is
+    taken once per row or column rather than once per cell.
     """
     i = np.asarray(i)
     j = np.asarray(j)
     shape = (-1,) + (1,) * max(i.ndim, j.ndim)
     alpha, rho, sigma = (
-        np.array(v, dtype=float).reshape(shape)
-        for v in zip(*((t.alpha, t.rho, t.sigma) for t in terms))
+        np.fromiter(map(attrgetter(name), terms), float, len(terms)).reshape(shape)
+        for name in ("alpha", "rho", "sigma")
     )
     rows = alpha * rho**i * sigma**j
-    total = np.zeros(rows.shape[1:])
-    for row in rows:
-        total += row
-    return total
+    return np.add.accumulate(rows)[-1] + 0.0
+
+
+def _apart(terms: Sequence[WeightedTerm]) -> bool:
+    """Whether the terms' coordinates are floats, finite and positive, and
+    no two terms are ``_close`` in both: when this holds, neither the merge
+    nor the duplicate check below can join or reject a term.
+
+    Sorted by rho, the pairs d places apart are tested for d = 1, 2, ...
+    until no such pair lies within twice ``COUPLE_TOL`` in rho.  For
+    positive a <= b <= c, ``_close(a, c)`` puts b that near a, so no pair
+    further apart is close in rho either.  Each test is ``_close`` on
+    arrays, with the same roundings as on floats.
+    """
+    coords = np.array([(t.rho, t.sigma) for t in terms])
+    if not (coords.dtype == np.float64 and coords.size and (coords > 0.0).all()
+            and np.isfinite(coords).all()):
+        return False
+    rho, sigma = coords[np.argsort(coords[:, 0], kind="stable")].T
+    for d in range(1, len(rho)):
+        lo, hi = rho[:-d], rho[d:]
+        near = hi - lo <= 2.0 * COUPLE_TOL * hi
+        if not near.any():
+            break
+        lo, hi, s_lo, s_hi = lo[near], hi[near], sigma[:-d][near], sigma[d:][near]
+        both = (hi - lo <= COUPLE_TOL * hi) & (
+            np.abs(s_hi - s_lo) <= COUPLE_TOL * np.maximum(s_lo, s_hi)
+        )
+        if both.any():
+            return False
+    return True
 
 
 def _merge_terms(terms: Iterable[WeightedTerm]) -> list:
@@ -101,8 +133,12 @@ def _merge_terms(terms: Iterable[WeightedTerm]) -> list:
     folded into it, coefficients added, in order of first appearance.
 
     A term joins the earliest kept term whose rho and sigma are both close
-    to its own; terms whose coefficients cancel exactly are dropped.
+    to its own; terms whose coefficients cancel exactly are dropped.  When
+    the terms are ``_apart``, none joins another and the scan is skipped.
     """
+    terms = list(terms)
+    if _apart(terms):
+        return [t for t in terms if t.alpha != 0.0]
     merged: list[WeightedTerm] = []
     index = _RhoIndex()
     for t in terms:
@@ -120,6 +156,22 @@ def _merge_terms(terms: Iterable[WeightedTerm]) -> list:
     return [t for t in merged if t.alpha != 0.0]
 
 
+def _check_terms(terms: Sequence[WeightedTerm]) -> None:
+    """Raise the first failure of GammaSet's per-term checks, in term order."""
+    seen = _RhoIndex()
+    for t in terms:
+        if not all(map(math.isfinite, (t.rho, t.sigma, t.alpha))):
+            raise ValueError(f"non-finite term ({t.rho}, {t.sigma}, {t.alpha})")
+        if not (t.rho > 0.0 and t.sigma > 0.0):
+            raise ValueError(f"nonpositive coordinates ({t.rho}, {t.sigma})")
+        if t.alpha == 0.0:
+            raise ValueError(f"zero coefficient at ({t.rho}, {t.sigma})")
+        for r, s in seen.near(t.rho):
+            if _close(t.rho, r) and _close(t.sigma, s):
+                raise ValueError(f"duplicate coordinates ({t.rho}, {t.sigma})")
+        seen.add(t.rho, (t.rho, t.sigma))
+
+
 @dataclass(frozen=True)
 class GammaSet:
     """A finite collection of weighted terms.
@@ -129,7 +181,8 @@ class GammaSet:
     to within ``COUPLE_TOL``.  The duplicate check bisects a rho-sorted
     index of the earlier terms instead of scanning them all, and rejects
     exactly the sets such a scan would, at the same term and with the same
-    message.
+    message.  Terms that are ``_apart`` with nonzero coefficients pass every
+    check, so the per-term scan runs only when one may fail.
     """
 
     terms: tuple[WeightedTerm, ...]
@@ -138,18 +191,8 @@ class GammaSet:
         terms = tuple(terms)
         if not terms:
             raise EmptyComponent("a term set needs at least one term")
-        seen = _RhoIndex()
-        for t in terms:
-            if not all(map(math.isfinite, (t.rho, t.sigma, t.alpha))):
-                raise ValueError(f"non-finite term ({t.rho}, {t.sigma}, {t.alpha})")
-            if not (t.rho > 0.0 and t.sigma > 0.0):
-                raise ValueError(f"nonpositive coordinates ({t.rho}, {t.sigma})")
-            if t.alpha == 0.0:
-                raise ValueError(f"zero coefficient at ({t.rho}, {t.sigma})")
-            for r, s in seen.near(t.rho):
-                if _close(t.rho, r) and _close(t.sigma, s):
-                    raise ValueError(f"duplicate coordinates ({t.rho}, {t.sigma})")
-            seen.add(t.rho, (t.rho, t.sigma))
+        if not (_apart(terms) and all(t.alpha != 0.0 and math.isfinite(t.alpha) for t in terms)):
+            _check_terms(terms)
         object.__setattr__(self, "terms", terms)
 
     def __len__(self) -> int:

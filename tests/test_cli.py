@@ -148,17 +148,27 @@ def test_construct_rejects_ineligible_walk(capsys):
 
 @pytest.mark.parametrize(
     "argv, field",
-    [(["--max-terms", "0"], "max_residual_h"), (["--max-terms", "2"], "max_residual_origin")],
-    ids=["max-terms-0", "max-terms-2"],
+    [(["--max-terms", "2"], "max_residual_origin")],
+    ids=["max-terms-2"],
 )
 def test_construct_fails_when_measure_fails_balance(capsys, argv, field):
-    # One or two terms per series leave the measure far from balance.
+    # Two terms per series leave the measure far from balance.
     code, out, err = run_cli(capsys, "construct", "switch_fig7", *argv)
     assert code == 1
     summary = json.loads(out)["residual_summary"]
     assert summary["worst"] == summary[field] > 1.0
     message = json.loads(err)["error"]
     assert repr(summary["worst"]) in message and "1e-12" in message
+
+
+@pytest.mark.parametrize("max_terms", ["1", "0", "-3"])
+def test_construct_rejects_max_terms_below_2(capsys, max_terms):
+    # A one-term series balances one axis only; the parent wrote a measure
+    # 2.77 off balance and exited 1.
+    code, out, err = run_cli(capsys, "construct", "switch_fig7", "--max-terms", max_terms)
+    assert code == 2
+    assert out == ""
+    assert f"max_terms = {max_terms} is too small" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("tol", ["0", "-1"])

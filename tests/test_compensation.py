@@ -8,7 +8,7 @@ import pytest
 
 import qpwalk as q
 from qpwalk import cli, compensation, presets
-from qpwalk.compensation import CompanionStatus, companion_v_status, t_value
+from qpwalk.compensation import companion_v_status, t_value
 from qpwalk.curve import U_MARGIN, y_quadratic
 from qpwalk.errors import (
     DegenerateT,
@@ -265,6 +265,15 @@ def test_build_series_deterministic(switch, switch_seeds, switch_series):
     assert [t.alpha for t in again.terms] == [t.alpha for t in switch_series[0].terms]
 
 
+@pytest.mark.parametrize("max_terms", [1, 0, -3])
+def test_build_series_rejects_max_terms_below_2(switch, switch_seeds, max_terms):
+    # A series of the seed alone balances one axis only.
+    message = rf"^max_terms = {max_terms} is too small, need max_terms >= 2$"
+    with pytest.raises(ValueError, match=message):
+        q.build_series(switch, switch_seeds[0], max_terms=max_terms)
+    assert len(q.build_series(switch, switch_seeds[0], max_terms=2).terms) == 2
+
+
 def test_max_terms_cap_reports_tail(switch, switch_seeds, switch_series):
     full = switch_series[0]
     K = len(full.terms)
@@ -438,12 +447,10 @@ def test_growing_envelope_diverges(switch, switch_seeds, monkeypatch):
     # No walk met so far makes a series grow, so the companion step is
     # replaced by one that keeps the shared coordinate and moves the other
     # above the term's envelope; the curve check is switched off with it.
-    def growing(term, spec):
-        rho, sigma = compensation._coords(term)
-        grown = q.WeightedTerm(rho, 1.05 * max(rho, sigma))
-        return CompanionStatus(grown, "ok", grown.sigma)
+    def growing(ker, rho, sigma):
+        return "ok", 1.05 * max(rho, sigma)
 
-    monkeypatch.setattr(compensation, "companion_v_status", growing)
+    monkeypatch.setattr(compensation, "_companion", growing)
     monkeypatch.setattr(compensation, "SERIES_RESIDUAL_TOL", math.inf)
     with pytest.raises(Diverged, match=r"^term envelope grew from \S+ to \S+ at step 5$"):
         q.build_series(switch, switch_seeds[0])

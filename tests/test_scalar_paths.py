@@ -3,11 +3,13 @@ the numpy and all-pairs forms kept in ``scalar_reference``."""
 
 import json
 import math
+import re
 
 import numpy as np
+import pytest
 
 import qpwalk as q
-from qpwalk import cli, curve, terms
+from qpwalk import cli, curve, oracle, terms
 from qpwalk.cli import main
 from qpwalk.compensation import _merge_terms
 from qpwalk.terms import COUPLE_TOL, GammaSet, WeightedTerm, _close
@@ -103,11 +105,136 @@ def test_term_sums_match_one_term_at_a_time(switch_measure):
     idx = np.arange(14)
     I, J = np.meshgrid(idx, idx, indexing="ij")
     sets = [switch_measure.gamma] + [random_gamma(rng, max_terms=12) for _ in range(20)]
+    # Terms whose rows are all negative zero at some cells.
+    sets.append(GammaSet([WeightedTerm(1e-200, 0.5, -1.0), WeightedTerm(2e-200, 0.25, -2.0)]))
     for g in sets:
         for i, j in ((I, J), (idx[:, None], idx[None, :]), (idx, 3), (2, 5), (0, 0)):
             want = ref.term_sum(g.terms, i, j)
             assert _bytes(terms._term_sum(g.terms, i, j)) == _bytes(want)
             assert _bytes(g.value(i, j)) == _bytes(want)
+        # An open grid gives the bytes of the meshgrid it stands for.
+        want = ref.term_sum(g.terms, I, J)
+        assert _bytes(terms._term_sum(g.terms, idx[:, None], idx[None, :])) == _bytes(want)
+        assert _bytes(g.value(idx[:, None], idx[None, :])) == _bytes(want)
+
+
+def _grids(rng, count, size):
+    """Measure grids of random term sets, with zeros, negative zeros and
+    signs mixed in."""
+    idx = np.arange(size)
+    grids = [random_gamma(rng, max_terms=12).value(idx[:, None], idx[None, :])
+             for _ in range(count)]
+    grids.append(np.zeros((size, size)))
+    grids.append(np.full((size, size), -0.0))
+    grids.append(rng.normal(size=(size, size)) * (rng.random((size, size)) < 0.5))
+    return np.stack(grids)
+
+
+@pytest.mark.parametrize("window", [1, 12, 20])
+def test_grid_residuals_of_a_stack_match_separate_calls(window):
+    rng = np.random.default_rng(100 + window)
+    walks = [spec for _, spec in _walks()[:12]]
+    grids = _grids(rng, 6, window + 2)
+    for spec in walks:
+        stacked = oracle._grid_residuals(spec, grids, window)
+        for k, m in enumerate(grids):
+            one = oracle._grid_residuals(spec, m, window)
+            want = ref.grid_residuals(spec, m, window)
+            for got_stacked, got_one, w in zip(stacked, one, want):
+                assert _bytes(got_stacked[k]) == _bytes(got_one) == _bytes(w)
+        # Two leading axes, and a grid larger than the window needs.
+        deep = oracle._grid_residuals(spec, grids.reshape(3, 3, window + 2, window + 2), window)
+        for got, flat in zip(deep, stacked):
+            assert _bytes(got) == _bytes(flat)
+    big = _grids(rng, 1, window + 5)[0]
+    for spec in walks:
+        for got, want in zip(oracle._grid_residuals(spec, big, window),
+                             ref.grid_residuals(spec, big, window)):
+            assert _bytes(got) == _bytes(want)
+        assert q.grid_residual_report(spec, big, window) == ref.grid_residual_report(
+            spec, big, window
+        )
+
+
+def test_residual_reports_and_comparison_match_reference(switch_measure):
+    rng = np.random.default_rng(101)
+    sets = [switch_measure.gamma] + [random_gamma(rng, max_terms=16) for _ in range(10)]
+    oracle_grid = q.truncated_stationary(q.presets.load("switch_fig7"), 30)
+    for _, spec in _walks()[:8]:
+        for g in sets:
+            for window in (1, 5, 12):
+                want = ref.balance_residuals(spec, g, window)
+                assert q.balance_residuals(spec, g, window) == want
+    for g in sets:
+        for core in (1, 8, 20):
+            want = ref.compare(g, oracle_grid, core)
+            assert _bytes(q.compare(g, oracle_grid, core)) == _bytes(want)
+
+
+def test_boundary_polynomial_matches_reference_on_floats_and_arrays():
+    rng = np.random.default_rng(102)
+    for name, spec in _walks():
+        pts = _points(spec, rng)
+        for x, y in pts:
+            got = q.boundary_h(spec, x, y)
+            assert type(got) is float, name
+            assert _bytes(got) == _bytes(ref.boundary_h(spec, x, y)), (name, x, y)
+        xs, ys = np.array(pts).T
+        got = q.boundary_h(spec, xs, ys)
+        assert _bytes(got) == _bytes(ref.boundary_h(spec, xs, ys)), name
+        assert _bytes([q.boundary_h(spec, x, y) for x, y in pts]) == _bytes(got), name
+        assert _bytes(q.boundary_h(spec, xs[0], 0.5)) == _bytes(ref.boundary_h(spec, xs[0], 0.5))
+
+
+def test_balancing_values_and_companions_match_reference():
+    rng = np.random.default_rng(103)
+    for name, spec in _walks():
+        for walk in (spec, spec.transpose()):
+            for x, y in _points(walk, rng):
+                if x > 0.0:
+                    assert _bytes(q.t_value((x, y), walk)) == _bytes(ref.t_value((x, y), walk))
+                try:
+                    want = ref.companion_v_status((x, y), walk)
+                except q.OffCurve as exc:
+                    with pytest.raises(q.OffCurve, match=re.escape(str(exc))):
+                        q.companion_v_status((x, y), walk)
+                    continue
+                got = q.companion_v_status((x, y), walk)
+                assert (got.status, _bytes(got.value)) == (want.status, _bytes(want.value))
+                assert got.term == want.term
+                if got.term is not None and x > 0.0:
+                    pair = ((x, y), got.term)
+                    try:
+                        ratio = ref.coefficient_ratio_h(pair, walk)
+                    except q.DegenerateT:
+                        continue
+                    assert _bytes(q.coefficient_ratio_h(pair, walk)) == _bytes(ratio)
+
+
+def _outcome_of(build):
+    try:
+        s = build()
+    except (ValueError, q.QpwalkError) as exc:
+        return type(exc).__name__, str(exc)
+    return (_flat(s.terms), s.links, _bytes(s.tail_bound), s.start, s.stopped)
+
+
+def test_series_match_reference_loop():
+    # Every seed of the walks, at the default settings and at caps and
+    # tolerances that stop the loop in each of its ways.
+    rng = np.random.default_rng(1)
+    for _ in range(253):
+        stalls = random_walk(rng, forced=True)  # its H seeds converge, stall and lack a companion
+    checked = set()
+    for name, spec in _walks() + [("stalls", stalls)]:
+        seeds = q.curve_boundary_intersections(spec) if q.eligible(spec) else [(0.5, 0.5)]
+        for seed in seeds:
+            for tol, max_terms in ((1e-12, 200), (1e-6, 200), (1e-12, 2), (1e-12, 5), (1e-14, 60)):
+                got = _outcome_of(lambda: q.build_series(spec, seed, tol, max_terms))
+                want = _outcome_of(lambda: ref.build_series(spec, seed, tol, max_terms))
+                assert got == want, (name, seed, tol, max_terms)
+                checked.add(got[-1] if len(got) == 5 else got[0])
+    assert {"converged", "max-terms", "NotEligible", "StalledAtBranchPoint"} <= checked
 
 
 def _edge(a: float, tol: float = COUPLE_TOL, ulps: int = 3) -> list[float]:
@@ -163,6 +290,26 @@ def test_duplicate_scan_matches_pairwise_near_the_edge():
                 checked[got[0]] += 1
     # Both verdicts occur at the edge.
     assert min(checked.values()) > 100
+
+
+def test_apart_matches_all_pairs_near_the_edge():
+    # Runs of rhos within a few ulps of the coupling edge, so that close
+    # pairs sit one, two or more places apart in rho order.
+    rng = np.random.default_rng(104)
+    verdicts = set()
+    for _ in range(400):
+        a, s = (float(v) for v in rng.uniform(0.05, 0.9, 2))
+        rhos = _edge(a, ulps=2) + [a, a * (1 + 0.6e-9), a * (1 + 1.2e-9), a * (1 + 2.5e-9)]
+        sigmas = _edge(s, ulps=2) + rng.uniform(0.05, 0.95, 4).tolist()
+        items = [WeightedTerm(float(rng.choice(rhos)), float(rng.choice(sigmas)))
+                 for _ in range(int(rng.integers(1, 12)))]
+        want = not any(_close(t.rho, u.rho) and _close(t.sigma, u.sigma)
+                       for k, t in enumerate(items) for u in items[:k])
+        assert terms._apart(items) == want, items
+        verdicts.add(want)
+    assert verdicts == {True, False}
+    for bad in ([WeightedTerm(0.5, math.nan)], [WeightedTerm(-0.5, 0.5)], [WeightedTerm(0.5, math.inf)], []):
+        assert not terms._apart(bad)
 
 
 def test_duplicate_scan_keeps_its_error_order():
@@ -230,16 +377,27 @@ def test_construct_bytes_match_reference_bodies(tmp_path, capsys, monkeypatch):
         path.write_text(json.dumps(random_walk(rng, forced=True).to_dict()))
         walks.append(str(path))
     walks += ["switch_fig7", "fig2d"]
+    verbs = []  # the verb running, for each walk loaded
 
-    def run_all():
+    def run_all(tag):
+        # construct, then verify on the measure it wrote, if any: the
+        # residual report and the oracle comparison run on both sides too.
         outs = []
-        for walk in walks:
-            code = main(["construct", walk])
-            captured = capsys.readouterr()
-            outs.append((code, captured.out, captured.err))
+        for k, walk in enumerate(walks):
+            measure = tmp_path / f"{tag}{k}.json"
+            verbs.append("construct")
+            code = main(["construct", walk, "-o", str(measure)])
+            built = measure.read_text() if measure.exists() else None
+            outs.append(("construct", code, built, capsys.readouterr().err))
+            if built is not None:
+                verbs.append("verify")
+                code = main(["verify", walk, str(measure), "--oracle-n", "30"])
+                captured = capsys.readouterr()
+                outs.append(("verify", code, captured.out, captured.err))
         return outs
 
-    shipped = run_all()
+    shipped = run_all("shipped")
+    verbs.clear()
     with monkeypatch.context() as m:
         ref.patch_all(m)
         assert curve.KernelPoly.value is ref.kernel_value
@@ -249,17 +407,19 @@ def test_construct_bytes_match_reference_bodies(tmp_path, capsys, monkeypatch):
 
         def load_walk(path):
             spec = load(path)
-            assert not set(spec.__dict__) & {"_kernel", "_axis"}
-            loaded.append(spec)
+            assert not set(spec.__dict__) & {"_kernel", "_axis", "_t", "_twin"}
+            loaded.append((verbs[-1], spec))
             return spec
 
         load = cli._load_walk
         m.setattr(cli, "_load_walk", load_walk)
-        reference = run_all()
-        assert len(loaded) == len(walks)
-        assert all({"_kernel", "_axis"} <= set(s.__dict__) for s in loaded)
+        reference = run_all("reference")
+        assert [verb for verb, _ in loaded] == [out[0] for out in reference]
+        assert all({"_kernel", "_axis"} <= set(s.__dict__)
+                   for verb, s in loaded if verb == "construct")
     assert shipped == reference
-    assert sum(code == 0 for code, _, _ in shipped) >= 10
+    assert sum(verb == "construct" and code == 0 for verb, code, _, _ in shipped) >= 10
+    assert sum(verb == "verify" for verb, _, _, _ in shipped) >= 20
 
 
 def test_real_roots_matches_reference_newton_steps(monkeypatch):
