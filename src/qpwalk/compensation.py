@@ -126,14 +126,9 @@ def _other_root(A: float, B: float, C: float, known: float) -> float:
 
 def _companion(ker: KernelPoly, rho: float, sigma: float) -> tuple[str, float]:
     """Status and raw value of the other root of ``Q(rho, .)`` beside the
-    curve point (rho, sigma); see companion_v_status.
-
-    Raises OffCurve when (rho, sigma) is not on the curve.
+    curve point (rho, sigma); see companion_v_status.  The point is taken
+    to be on the curve: a series checks each term as it makes it.
     """
-    if abs(ker.value(rho, sigma)) > SEED_RESIDUAL_TOL * ker.scale * max(
-        1.0, rho * rho
-    ) * max(1.0, sigma * sigma):
-        raise OffCurve(f"({rho}, {sigma}) is not on the kernel curve")
     A, B, C = y_quadratic(ker, rho)
     other = _other_root(A, B, C, sigma)
 
@@ -155,9 +150,17 @@ def _companion(ker: KernelPoly, rho: float, sigma: float) -> tuple[str, float]:
 
 
 def companion_v_status(term: TermLike, spec: WalkSpec) -> CompanionStatus:
-    """Other root of the kernel quadratic in y at the term's x-coordinate."""
+    """Other root of the kernel quadratic in y at the term's x-coordinate.
+
+    Raises OffCurve when the term is not on the curve.
+    """
     rho, sigma = _coords(term)
-    status, other = _companion(kernel(spec), rho, sigma)
+    ker = kernel(spec)
+    if abs(ker.value(rho, sigma)) > SEED_RESIDUAL_TOL * ker.scale * max(
+        1.0, rho * rho
+    ) * max(1.0, sigma * sigma):
+        raise OffCurve(f"({rho}, {sigma}) is not on the kernel curve")
+    status, other = _companion(ker, rho, sigma)
     if status != "ok":
         return CompanionStatus(None, status, other)
     alpha = term.alpha if isinstance(term, WeightedTerm) else 1.0

@@ -12,7 +12,6 @@ structural conditions any genuinely infinite sum of geometrics must meet.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
@@ -29,31 +28,6 @@ COUPLE_TOL = 1e-9  # relative tolerance for two coordinates counting as equal
 def _close(a: float, b: float) -> bool:
     """Whether two coordinates count as one: the coupling rule of a term set."""
     return abs(a - b) <= COUPLE_TOL * max(abs(a), abs(b))
-
-
-class _RhoIndex:
-    """Items kept sorted by a rho, found by a window around another rho.
-
-    For positive values ``_close(a, b)`` bounds b to ``[a (1 - COUPLE_TOL),
-    a / (1 - COUPLE_TOL)]``; ``near`` returns every item whose rho lies in
-    that window widened by a relative 1e-12, so rounding cannot drop one,
-    and callers apply ``_close`` to what it returns.
-    """
-
-    def __init__(self):
-        self.rhos: list[float] = []
-        self.items: list = []
-
-    def add(self, rho: float, item) -> None:
-        k = bisect_right(self.rhos, rho)
-        self.rhos.insert(k, rho)
-        self.items.insert(k, item)
-
-    def near(self, rho: float) -> list:
-        slack = 1.0 + 1e-12
-        lo = rho * (1.0 - COUPLE_TOL) / slack
-        hi = rho / (1.0 - COUPLE_TOL) * slack
-        return self.items[bisect_left(self.rhos, lo) : bisect_right(self.rhos, hi)]
 
 
 @dataclass(frozen=True)
@@ -98,10 +72,9 @@ def _term_sum(terms: Sequence[WeightedTerm], i, j):
     return np.add.accumulate(rows)[-1] + 0.0
 
 
-def _apart(terms: Sequence[WeightedTerm]) -> bool:
-    """Whether the terms' coordinates are floats, finite and positive, and
-    no two terms are ``_close`` in both: when this holds, neither the merge
-    nor the duplicate check below can join or reject a term.
+def _close_pairs(terms: Sequence[WeightedTerm]) -> list[tuple[int, int]]:
+    """Ascending index pairs (i, j), i < j, of the terms whose rho and
+    sigma are both ``_close``; the coordinates must be positive.
 
     Sorted by rho, the pairs d places apart are tested for d = 1, 2, ...
     until no such pair lies within twice ``COUPLE_TOL`` in rho.  For
@@ -109,67 +82,47 @@ def _apart(terms: Sequence[WeightedTerm]) -> bool:
     further apart is close in rho either.  Each test is ``_close`` on
     arrays, with the same roundings as on floats.
     """
-    coords = np.array([(t.rho, t.sigma) for t in terms])
-    if not (coords.dtype == np.float64 and coords.size and (coords > 0.0).all()
-            and np.isfinite(coords).all()):
-        return False
-    rho, sigma = coords[np.argsort(coords[:, 0], kind="stable")].T
+    rho, sigma = np.array([[t.rho for t in terms], [t.sigma for t in terms]], dtype=float)
+    order = np.argsort(rho, kind="stable")
+    rho, sigma = rho[order], sigma[order]
+    pairs = []
     for d in range(1, len(rho)):
         lo, hi = rho[:-d], rho[d:]
-        near = hi - lo <= 2.0 * COUPLE_TOL * hi
-        if not near.any():
+        near = np.flatnonzero(hi - lo <= 2.0 * COUPLE_TOL * hi)
+        if not near.size:
             break
-        lo, hi, s_lo, s_hi = lo[near], hi[near], sigma[:-d][near], sigma[d:][near]
-        both = (hi - lo <= COUPLE_TOL * hi) & (
+        lo, hi, s_lo, s_hi = lo[near], hi[near], sigma[near], sigma[near + d]
+        both = near[(hi - lo <= COUPLE_TOL * hi) & (
             np.abs(s_hi - s_lo) <= COUPLE_TOL * np.maximum(s_lo, s_hi)
-        )
-        if both.any():
-            return False
-    return True
+        )]
+        ends = np.sort([order[both], order[both + d]], axis=0)
+        pairs += zip(*ends.tolist())
+    return sorted(pairs)
 
 
 def _merge_terms(terms: Iterable[WeightedTerm]) -> list:
     """Terms with coordinates within ``COUPLE_TOL`` of an earlier term's
     folded into it, coefficients added, in order of first appearance.
 
-    A term joins the earliest kept term whose rho and sigma are both close
-    to its own; terms whose coefficients cancel exactly are dropped.  When
-    the terms are ``_apart``, none joins another and the scan is skipped.
+    A term joins the earliest kept term among its ``_close_pairs``, and is
+    kept when it has none; terms whose coefficients cancel exactly are
+    dropped.  In ascending order the pairs (., i) come before (i, .), so
+    whether term i is kept is settled when its own pairs come up.
     """
     terms = list(terms)
-    if _apart(terms):
-        return [t for t in terms if t.alpha != 0.0]
-    merged: list[WeightedTerm] = []
-    index = _RhoIndex()
-    for t in terms:
-        hits = [
-            k for k in index.near(t.rho)
-            if _close(merged[k].rho, t.rho) and _close(merged[k].sigma, t.sigma)
-        ]
-        if hits:
-            k = min(hits)
-            seen = merged[k]
-            merged[k] = WeightedTerm(seen.rho, seen.sigma, seen.alpha + t.alpha)
+    joins: dict[int, int] = {}
+    for i, j in _close_pairs(terms):
+        if i not in joins:
+            joins.setdefault(j, i)
+    kept: dict[int, WeightedTerm] = {}
+    for j, t in enumerate(terms):
+        i = joins.get(j)
+        if i is None:
+            kept[j] = t
         else:
-            index.add(t.rho, len(merged))
-            merged.append(t)
-    return [t for t in merged if t.alpha != 0.0]
-
-
-def _check_terms(terms: Sequence[WeightedTerm]) -> None:
-    """Raise the first failure of GammaSet's per-term checks, in term order."""
-    seen = _RhoIndex()
-    for t in terms:
-        if not all(map(math.isfinite, (t.rho, t.sigma, t.alpha))):
-            raise ValueError(f"non-finite term ({t.rho}, {t.sigma}, {t.alpha})")
-        if not (t.rho > 0.0 and t.sigma > 0.0):
-            raise ValueError(f"nonpositive coordinates ({t.rho}, {t.sigma})")
-        if t.alpha == 0.0:
-            raise ValueError(f"zero coefficient at ({t.rho}, {t.sigma})")
-        for r, s in seen.near(t.rho):
-            if _close(t.rho, r) and _close(t.sigma, s):
-                raise ValueError(f"duplicate coordinates ({t.rho}, {t.sigma})")
-        seen.add(t.rho, (t.rho, t.sigma))
+            seen = kept[i]
+            kept[i] = WeightedTerm(seen.rho, seen.sigma, seen.alpha + t.alpha)
+    return [t for t in kept.values() if t.alpha != 0.0]
 
 
 @dataclass(frozen=True)
@@ -178,11 +131,9 @@ class GammaSet:
 
     Coordinates and coefficients must be finite, coordinates positive,
     coefficients nonzero, and no two terms may agree in both coordinates
-    to within ``COUPLE_TOL``.  The duplicate check bisects a rho-sorted
-    index of the earlier terms instead of scanning them all, and rejects
-    exactly the sets such a scan would, at the same term and with the same
-    message.  Terms that are ``_apart`` with nonzero coefficients pass every
-    check, so the per-term scan runs only when one may fail.
+    to within ``COUPLE_TOL``.  A set is rejected at its first failing term,
+    in term order: the first term with a problem of its own, unless a term
+    before it duplicates an earlier one by ``_close_pairs``.
     """
 
     terms: tuple[WeightedTerm, ...]
@@ -191,8 +142,24 @@ class GammaSet:
         terms = tuple(terms)
         if not terms:
             raise EmptyComponent("a term set needs at least one term")
-        if not (_apart(terms) and all(t.alpha != 0.0 and math.isfinite(t.alpha) for t in terms)):
-            _check_terms(terms)
+        problem = None
+        for f, t in enumerate(terms):
+            if not all(map(math.isfinite, (t.rho, t.sigma, t.alpha))):
+                problem = f"non-finite term ({t.rho}, {t.sigma}, {t.alpha})"
+            elif not (t.rho > 0.0 and t.sigma > 0.0):
+                problem = f"nonpositive coordinates ({t.rho}, {t.sigma})"
+            elif t.alpha == 0.0:
+                problem = f"zero coefficient at ({t.rho}, {t.sigma})"
+            if problem:
+                break
+        else:
+            f = len(terms)
+        duplicates = [j for _, j in _close_pairs(terms[:f])]
+        if duplicates:
+            t = terms[min(duplicates)]
+            raise ValueError(f"duplicate coordinates ({t.rho}, {t.sigma})")
+        if problem:
+            raise ValueError(problem)
         object.__setattr__(self, "terms", terms)
 
     def __len__(self) -> int:

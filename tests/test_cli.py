@@ -415,21 +415,33 @@ def test_non_finite_walk_entry_is_input_error(capsys, tmp_path, fig2d, verb):
     assert [(i["code"], i["where"]) for i in issues] == [("NonFinite", "p[0][0]")]
 
 
+TERM = {"rho": 0.5, "sigma": 0.5}
+TWIN = {"rho": 0.5, "sigma": 0.50000000005}  # within 1e-9 relative of TERM
+ZERO = {"rho": 0.3, "sigma": 0.4, "alpha": 0.0}
+
+
 @pytest.mark.parametrize(
-    "term",
-    [{"rho": 0.5, "sigma": 0.5, "alpha": float("nan")},
-     {"rho": 0.5, "sigma": 0.5, "alpha": float("inf")},
-     {"rho": float("inf"), "sigma": 0.5, "alpha": 1.0}],
-    ids=["alpha-nan", "alpha-inf", "rho-inf"],
+    "terms, message",
+    [([{"rho": 0.5, "sigma": 0.5, "alpha": float("nan")}], "non-finite term (0.5, 0.5, nan)"),
+     ([{"rho": 0.5, "sigma": 0.5, "alpha": float("inf")}], "non-finite term (0.5, 0.5, inf)"),
+     ([{"rho": float("inf"), "sigma": 0.5, "alpha": 1.0}], "non-finite term (inf, 0.5, 1.0)"),
+     ([TERM, TWIN], "duplicate coordinates (0.5, 0.50000000005)"),
+     ([ZERO], "zero coefficient at (0.3, 0.4)"),
+     ([TERM, {"rho": -0.3, "sigma": 0.4}], "nonpositive coordinates (-0.3, 0.4)"),
+     # the second TERM duplicates too, but TWIN is the first duplicate
+     ([TERM, TWIN, TERM, ZERO], "duplicate coordinates (0.5, 0.50000000005)"),
+     ([TERM, ZERO, TWIN], "zero coefficient at (0.3, 0.4)")],
+    ids=["alpha-nan", "alpha-inf", "rho-inf", "duplicate", "alpha-zero", "rho-negative",
+         "duplicate-first", "duplicate-after"],
 )
 @pytest.mark.parametrize("verb", ["verify", "partition"])
-def test_non_finite_measure_term_is_input_error(capsys, tmp_path, term, verb):
+def test_non_finite_measure_term_is_input_error(capsys, tmp_path, terms, message, verb):
     measure = tmp_path / "measure.json"
-    measure.write_text(json.dumps({"terms": [term]}))
+    measure.write_text(json.dumps({"terms": terms}))
     argv = ["verify", "switch_fig7"] if verb == "verify" else ["partition"]
     code, out, err = run_cli(capsys, *argv, str(measure))
     assert code == 2 and out == ""
-    assert "non-finite term" in json.loads(err)["error"]
+    assert json.loads(err)["error"] == f"ValueError: {message}"
 
 
 @pytest.mark.parametrize(

@@ -292,24 +292,24 @@ def test_duplicate_scan_matches_pairwise_near_the_edge():
     assert min(checked.values()) > 100
 
 
-def test_apart_matches_all_pairs_near_the_edge():
+def test_close_pairs_match_all_pairs_near_the_edge():
     # Runs of rhos within a few ulps of the coupling edge, so that close
     # pairs sit one, two or more places apart in rho order.
     rng = np.random.default_rng(104)
-    verdicts = set()
+    sizes = set()
     for _ in range(400):
         a, s = (float(v) for v in rng.uniform(0.05, 0.9, 2))
         rhos = _edge(a, ulps=2) + [a, a * (1 + 0.6e-9), a * (1 + 1.2e-9), a * (1 + 2.5e-9)]
         sigmas = _edge(s, ulps=2) + rng.uniform(0.05, 0.95, 4).tolist()
         items = [WeightedTerm(float(rng.choice(rhos)), float(rng.choice(sigmas)))
                  for _ in range(int(rng.integers(1, 12)))]
-        want = not any(_close(t.rho, u.rho) and _close(t.sigma, u.sigma)
-                       for k, t in enumerate(items) for u in items[:k])
-        assert terms._apart(items) == want, items
-        verdicts.add(want)
-    assert verdicts == {True, False}
-    for bad in ([WeightedTerm(0.5, math.nan)], [WeightedTerm(-0.5, 0.5)], [WeightedTerm(0.5, math.inf)], []):
-        assert not terms._apart(bad)
+        want = [(i, j) for j, u in enumerate(items) for i, t in enumerate(items[:j])
+                if _close(t.rho, u.rho) and _close(t.sigma, u.sigma)]
+        assert terms._close_pairs(items) == sorted(want), items
+        sizes.add(len(want))
+    # No pair, one pair, and sets where many terms pair up.
+    assert {0, 1} < sizes and max(sizes) > 10
+    assert terms._close_pairs([]) == []
 
 
 def test_duplicate_scan_keeps_its_error_order():
