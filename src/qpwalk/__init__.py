@@ -74,7 +74,6 @@ from .terms import (
     WeightedTerm,
     bh_sum,
     bv_sum,
-    check_on_curve,
     maximal_partitions,
     necessary_conditions,
     separating_exponent,

@@ -38,6 +38,11 @@ from .terms import GammaSet, maximal_partitions
 INPUT_ERRORS = (InvalidWalk, InvalidRouting, SingularWalk, ValueError,
                 KeyError, OSError, json.JSONDecodeError)
 
+# construct rebuilds its series on a tighter tolerance at most this often
+# (see _follow_gate); random walks whose series stopped short of the gate
+# needed 1 to 3 rebuilds.
+TIGHTEN_ROUNDS = 4
+
 # verify compares on the core min(8, n - 10), which must hold a cell
 # beside the origin, so a nonzero --oracle-n must be at least 11.
 ORACLE_N_MIN = 11
@@ -166,6 +171,36 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _follow_gate(spec: WalkSpec, series: list, args) -> tuple:
+    """The series, rebuilt until their tails fit the gate, and their assembly.
+
+    ``build_series`` stops a series on its own unweighted, absolute norms,
+    while the gate judges the weighted measure relative to its mass.  So
+    after each assembly the weighted tail sum |w_k| * tail_bound_k is held
+    against ``--tol`` times the least of m(0,0), m(1,0) and m(0,1); while
+    it is larger, every series is rebuilt from its seed with its tolerance
+    scaled by their ratio, at most ``TIGHTEN_ROUNDS`` times.  A restart
+    repeats the terms it had, so only the added terms are new.  A seed whose
+    rebuild raises keeps its last series, and the tightening stops there.
+    """
+    series, tol, stalled = list(series), args.tol, False
+    assembled = assemble_measure(series, spec, window=args.window)
+    for _ in range(TIGHTEN_ROUNDS):
+        m = assembled.gamma.value
+        budget = args.tol * min(m(0, 0), m(1, 0), m(0, 1))
+        tail = sum(abs(w) * s.tail_bound for w, s in zip(assembled.weights, series))
+        if stalled or not 0.0 < budget < tail:
+            break
+        tol *= budget / tail
+        for k, s in enumerate(series):
+            try:
+                series[k] = build_series(spec, s.start, tol=tol, max_terms=args.max_terms)
+            except QpwalkError:
+                stalled = True
+        assembled = assemble_measure(series, spec, window=args.window)
+    return series, assembled
+
+
 def _cmd_construct(args) -> int:
     spec = _load_walk(args.walk)
     seeds = curve_boundary_intersections(spec)
@@ -185,7 +220,7 @@ def _cmd_construct(args) -> int:
             })
     if not series:
         return _fail(1, "every seed failed", {"failures": failures})
-    assembled = assemble_measure(series, spec, window=args.window)
+    series, assembled = _follow_gate(spec, series, args)
     doc = {
         "seeds": [inter.to_dict() for inter in seeds],
         "series": [s.to_dict() for s in series],

@@ -127,7 +127,8 @@ def _other_root(A: float, B: float, C: float, known: float) -> float:
 def _companion(ker: KernelPoly, rho: float, sigma: float) -> tuple[str, float]:
     """Status and raw value of the other root of ``Q(rho, .)`` beside the
     curve point (rho, sigma); see companion_v_status.  The point is taken
-    to be on the curve: a series checks each term as it makes it.
+    to be on the curve: a series checks each term as it makes it, and the
+    condition battery reads its ``on_curve`` verdict beside it.
     """
     A, B, C = y_quadratic(ker, rho)
     other = _other_root(A, B, C, sigma)

@@ -555,29 +555,20 @@ def trace_qplus(spec: WalkSpec, n_points: int = 2048) -> QPlusTrace:
 def detect_singularity(spec: WalkSpec) -> Optional[tuple[float, float]]:
     """Self-intersection of the curve in the closed unit square, if any.
 
-    The curve has one exactly when the walk takes no north, northeast or
-    east interior steps, in which case both branches pass through the
-    origin.  The symbolic support test is cross-checked numerically: Q and
-    both partials must vanish at the reported point and the Hessian
-    determinant must be negative (two real crossing branches, not an
-    isolated point or a cusp).
+    The curve has one exactly when the walk is ``eligible``: it takes no
+    north, northeast or east interior steps, and both branches pass
+    through the origin.  Q and its two partials at the origin are those
+    three step probabilities, so that support test is the whole test.  The
+    crossing is then checked by its Hessian determinant, which must be
+    negative (two real crossing branches, not an isolated point or a cusp).
 
     Raises
     ------
     InconsistentSingularity
-        If the symbolic and numeric verdicts disagree, or the crossing
-        fails the negative-Hessian test.
+        If the crossing fails the negative-Hessian test.
     """
-    ker = kernel(spec)
-    c = ker.c
-    symbolic = eligible(spec)
-    # Q(0,0) = c00, Qx(0,0) = c10, Qy(0,0) = c01.
-    numeric = max(abs(c[0, 0]), abs(c[1, 0]), abs(c[0, 1])) <= 1e-12
-    if symbolic != numeric:
-        raise InconsistentSingularity(
-            f"support test says {symbolic}, derivative test says {numeric}"
-        )
-    if not symbolic:
+    c = kernel(spec).c  # raises SingularWalk on a singular walk
+    if not eligible(spec):
         return None
     hessian_det = 4.0 * c[2, 0] * c[0, 2] - c[1, 1] ** 2
     if not hessian_det < -1e-12:

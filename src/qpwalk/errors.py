@@ -31,7 +31,7 @@ class EmptyComponent(QpwalkError):
 
 
 class InconsistentSingularity(QpwalkError):
-    """Symbolic and numeric singularity tests disagree."""
+    """The origin crossing of an eligible walk is not a two-branch node."""
 
 
 class MixedGroup(QpwalkError):

@@ -12,7 +12,7 @@ structural conditions any genuinely infinite sum of geometrics must meet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
@@ -26,8 +26,9 @@ COUPLE_TOL = 1e-9  # relative tolerance for two coordinates counting as equal
 
 
 def _close(a: float, b: float) -> bool:
-    """Whether two coordinates count as one: the coupling rule of a term set."""
-    return abs(a - b) <= COUPLE_TOL * max(abs(a), abs(b))
+    """Whether two coordinates count as one: the coupling rule of a term set.
+    An infinite coordinate is close to nothing."""
+    return abs(a - b) <= COUPLE_TOL * max(abs(a), abs(b)) < math.inf
 
 
 @dataclass(frozen=True)
@@ -289,40 +290,6 @@ def bv_sum(g: GammaSet, group: Sequence[int], spec: WalkSpec) -> float:
     return _bh_terms(terms, spec.transpose())
 
 
-@dataclass(frozen=True)
-class OnCurveReport:
-    residuals: tuple[float, ...]
-    in_u: tuple[bool, ...]
-    all_on_curve: bool
-    all_in_u: bool
-
-
-def check_on_curve(g: GammaSet, spec: WalkSpec) -> OnCurveReport:
-    """Kernel residual and open-unit-square membership of every term; a
-    term is on the curve when its scaled residual is at most ``ONCURVE_TOL``.
-
-    Membership needs a safety margin only at the upper edge, where a
-    coordinate within rounding of 1 would make the term non-normalizable;
-    arbitrarily small positive coordinates are fine, series accumulate at
-    the origin by design.
-    """
-    ker = kernel(spec)
-    residuals = []
-    in_u = []
-    for t in g.terms:
-        scaled = abs(ker.value(t.rho, t.sigma)) / ker.scale
-        residuals.append(float(scaled))
-        in_u.append(
-            0.0 < t.rho < 1.0 - U_MARGIN and 0.0 < t.sigma < 1.0 - U_MARGIN
-        )
-    return OnCurveReport(
-        tuple(residuals),
-        tuple(in_u),
-        all(r <= ONCURVE_TOL for r in residuals),
-        all(in_u),
-    )
-
-
 def separating_exponent(
     g: GammaSet, i: int, bound: int = 64
 ) -> Optional[tuple[int, int]]:
@@ -359,29 +326,17 @@ def separating_exponent(
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of the structural tests for an infinite-geometric measure."""
+    """Outcome of the structural tests for an infinite-geometric measure:
+    one verdict per condition, True, False or None when not tested, and
+    the evidence behind them."""
 
-    on_curve: Optional[bool]
-    in_u: Optional[bool]
-    extendable: Optional[bool]
-    trend: Optional[bool]
-    witnesses: dict = field(default_factory=dict)
-
-    @property
-    def verdicts(self) -> dict:
-        return {
-            "on_curve": self.on_curve,
-            "in_u": self.in_u,
-            "extendable": self.extendable,
-            "trend": self.trend,
-        }
+    verdicts: dict
+    witnesses: dict
 
     @property
     def passed(self) -> Optional[bool]:
         vals = [v for v in self.verdicts.values() if v is not None]
-        if not vals:
-            return None
-        return all(vals)
+        return all(vals) if vals else None
 
     def to_dict(self) -> dict:
         return {"verdicts": self.verdicts, "passed": self.passed, **self.witnesses}
@@ -395,49 +350,52 @@ def necessary_conditions(
 
     Four verdicts, every one necessary:
 
-    * ``on_curve``: each term lies on the kernel curve.
-    * ``in_u``: each term lies in the open unit square.
+    * ``on_curve``: each term lies on the kernel curve, its scaled
+      residual at most ``ONCURVE_TOL``.
+    * ``in_u``: each term lies in the open unit square, with a margin
+      ``U_MARGIN`` at the upper edge only: a coordinate within rounding of
+      1 makes a term non-normalizable, while series accumulate at 0.
     * ``extendable``: from each term the coupled companion construction
       can continue along at least one boundary, so the set cannot be a
-      dead end of the compensation recursion.
+      dead end of the compensation recursion.  Judged when the first two
+      hold; a term with neither companion is a ``blocked`` witness.
     * ``trend``: coordinates approach the origin; the smallest term
       envelope is well below the largest, which a convergent infinite sum
       forces.
 
-    With ``claims_infinite`` false only the first two apply; the others
-    report None.
+    One pass over the terms reads each term's residual, its membership of
+    the square and its V and H companions, the other root of the kernel
+    quadratic in y on the walk and on its transposed twin.  With
+    ``claims_infinite`` false only the first two verdicts apply and no
+    companion is sought; the others report None.
     """
-    from .compensation import companion_v_status  # compensation imports this module
+    from .compensation import _companion  # compensation imports this module
 
-    curve_report = check_on_curve(g, spec)
-    witnesses: dict = {
-        "residuals": list(curve_report.residuals),
-        "in_u_flags": list(curve_report.in_u),
+    ker, twin_ker = kernel(spec), kernel(spec.transpose())
+    residuals, in_u, blocked, envelopes = [], [], [], []
+    for index, t in enumerate(g.terms):
+        residuals.append(float(abs(ker.value(t.rho, t.sigma)) / ker.scale))
+        in_u.append(0.0 < t.rho < 1.0 - U_MARGIN and 0.0 < t.sigma < 1.0 - U_MARGIN)
+        envelopes.append(max(t.rho, t.sigma))
+        if claims_infinite:
+            h = _companion(twin_ker, t.sigma, t.rho)[0]
+            v = _companion(ker, t.rho, t.sigma)[0]
+            if h != "ok" and v != "ok":
+                blocked.append({"index": index, "h": h, "v": v})
+    verdicts = {
+        "on_curve": all(r <= ONCURVE_TOL for r in residuals),
+        "in_u": all(in_u),
+        "extendable": None,
+        "trend": None,
     }
-    on_curve = curve_report.all_on_curve
-    in_u = curve_report.all_in_u
-
-    if not claims_infinite:
-        return ConditionReport(on_curve, in_u, None, None, witnesses)
-
-    extendable: Optional[bool] = None
-    if on_curve and in_u:
-        blocked = []
-        twin = spec.transpose()
-        for idx, t in enumerate(g.terms):
-            # the H companion is the V companion on the transposed walk
-            h_st = companion_v_status(t.transpose(), twin)
-            v_st = companion_v_status(t, spec)
-            if h_st.term is None and v_st.term is None:
-                blocked.append({"index": idx, "h": h_st.status, "v": v_st.status})
-        witnesses["blocked"] = blocked
-        extendable = not blocked
-    else:
-        witnesses["blocked"] = None
-
-    envelopes = [max(t.rho, t.sigma) for t in g.terms]
-    trend = min(envelopes) <= 0.5 * max(envelopes) or len(g.terms) == 1
-    witnesses["envelope_min"] = min(envelopes)
-    witnesses["envelope_max"] = max(envelopes)
-
-    return ConditionReport(on_curve, in_u, extendable, trend, witnesses)
+    witnesses: dict = {"residuals": residuals, "in_u_flags": in_u}
+    if claims_infinite:
+        if verdicts["on_curve"] and verdicts["in_u"]:
+            verdicts["extendable"] = not blocked
+            witnesses["blocked"] = blocked
+        else:
+            witnesses["blocked"] = None
+        verdicts["trend"] = min(envelopes) <= 0.5 * max(envelopes) or len(envelopes) == 1
+        witnesses["envelope_min"] = min(envelopes)
+        witnesses["envelope_max"] = max(envelopes)
+    return ConditionReport(verdicts, witnesses)

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, formats, determinism, exit codes."""
 
 import csv
+import functools
 import io
 import json
 import re
@@ -14,7 +15,7 @@ import pytest
 import qpwalk as q
 from qpwalk.cli import dumps, main
 
-from conftest import twelve_dot_set
+from conftest import random_walk, twelve_dot_set
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +84,23 @@ def test_analyze_walk_file(capsys, tmp_path, fig2c):
     code, out, _ = run_cli(capsys, "analyze", str(path))
     assert code == 0
     assert json.loads(out)["eligible"] is False
+
+
+def test_analyze_tiny_east_step_has_no_singularity(capsys, tmp_path, switch):
+    # switch_fig7 with 1e-13 moved from the stay to the east step: a valid
+    # walk that is not eligible, though Q, Qx and Qy at the origin are
+    # within 1e-12 of zero.
+    walk = switch.to_dict()
+    walk["interior"][1][1] -= 1e-13
+    walk["interior"][2][1] = 1e-13
+    assert q.validate(q.WalkSpec.from_dict(walk)) == []
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps(walk))
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["eligible"] is False
+    assert doc["singularity"] is None
 
 
 def test_analyze_output_file(tmp_path, capsys):
@@ -177,6 +195,36 @@ def test_construct_rejects_non_positive_tol(capsys, tol):
     assert code == 2
     assert out == ""
     assert f"tol = {float(tol)}" in json.loads(err)["error"]
+
+
+# Ergodic walks whose series, stopped on their own unweighted norms, left
+# the assembled measure 1.1e-12 to 1.2e-11 off balance, above the default
+# gate: (generator seed, 0-based draw) of forced ``random_walk`` draws.
+TRUNCATED_SERIES_WITNESSES = [
+    (0, 52), (0, 77), (0, 84), (0, 87), (0, 134), (0, 160), (0, 187),
+    (1, 56), (1, 76), (1, 142), (1, 177), (1, 226), (2, 120), (2, 205),
+    (3, 179), (3, 192), (3, 225),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _forced_draws(seed, count):
+    rng = np.random.default_rng(seed)
+    return tuple(random_walk(rng, forced=True) for _ in range(count))
+
+
+@pytest.mark.parametrize("seed, draw", TRUNCATED_SERIES_WITNESSES)
+def test_construct_series_follow_the_gate(capsys, tmp_path, seed, draw):
+    count = 1 + max(k for s, k in TRUNCATED_SERIES_WITNESSES if s == seed)
+    walk = tmp_path / "walk.json"
+    walk.write_text(json.dumps(_forced_draws(seed, count)[draw].to_dict()))
+    measure = tmp_path / "measure.json"
+    code, _, err = run_cli(capsys, "construct", str(walk), "-o", str(measure))
+    assert code == 0, err
+    assert json.loads(measure.read_text())["residual_summary"]["worst"] <= 1e-12
+    code, out, _ = run_cli(capsys, "verify", str(walk), str(measure))
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])

@@ -155,6 +155,15 @@ def test_ratio_requires_shared_coordinate(switch, switch_series):
     assert q.coefficient_ratio_h((t1.transpose(), t2.transpose()), switch.transpose()) < 0
 
 
+@pytest.mark.parametrize("rho2", [math.inf, -math.inf])
+def test_ratio_with_an_infinite_rho_is_a_mixed_group(switch, rho2):
+    # An infinite coordinate shares rho with no finite one, nor with itself.
+    with pytest.raises(MixedGroup):
+        q.coefficient_ratio_h(((0.5, 0.3), (rho2, 0.2)), switch)
+    with pytest.raises(MixedGroup):
+        q.coefficient_ratio_h(((rho2, 0.3), (rho2, 0.2)), switch)
+
+
 def test_series_coefficients_follow_ratios(switch, switch_series):
     for ser in switch_series:
         for k, link in enumerate(ser.links):

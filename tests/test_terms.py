@@ -244,21 +244,21 @@ def test_separating_exponent_actually_separates():
 def test_check_on_curve_product_form():
     rng = np.random.default_rng(43)
     spec, rho, sigma = product_form_walk(rng)
-    rep = q.check_on_curve(terms_of((rho, sigma, 1.0)), spec)
-    assert rep.all_on_curve and rep.all_in_u
-    assert rep.residuals[0] <= 1e-12
+    rep = q.necessary_conditions(spec, terms_of((rho, sigma, 1.0)))
+    assert rep.verdicts["on_curve"] and rep.verdicts["in_u"]
+    assert rep.witnesses["residuals"][0] <= 1e-12
 
 
 def test_check_on_curve_flags_upper_edge(switch):
     g = terms_of((1.0 - 1e-12, 0.5, 1.0))
-    rep = q.check_on_curve(g, switch)
-    assert not rep.all_in_u
+    rep = q.necessary_conditions(switch, g)
+    assert not rep.verdicts["in_u"]
 
 
 def test_check_on_curve_flags_off_curve(switch):
     g = terms_of((0.5, 0.5, 1.0))
-    rep = q.check_on_curve(g, switch)
-    assert not rep.all_on_curve
+    rep = q.necessary_conditions(switch, g)
+    assert not rep.verdicts["on_curve"]
 
 
 def test_necessary_conditions_on_assembled_switch(switch, switch_measure):
@@ -275,15 +275,15 @@ def test_necessary_conditions_on_assembled_switch(switch, switch_measure):
 
 def test_necessary_conditions_finite_claim_skips_infinite_tests(switch, switch_measure):
     rep = q.necessary_conditions(switch, switch_measure.gamma, claims_infinite=False)
-    assert rep.extendable is None
-    assert rep.trend is None
-    assert rep.on_curve is True
+    assert rep.verdicts["extendable"] is None
+    assert rep.verdicts["trend"] is None
+    assert rep.verdicts["on_curve"] is True
 
 
 def test_necessary_conditions_rejects_off_curve_set(switch):
     g = terms_of((0.5, 0.5, 1.0), (0.25, 0.75, 1.0))
     rep = q.necessary_conditions(switch, g, claims_infinite=True)
-    assert rep.on_curve is False
+    assert rep.verdicts["on_curve"] is False
     assert rep.passed is False
 
 
