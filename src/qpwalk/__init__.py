@@ -10,9 +10,6 @@ from .compensation import (
     CompensationSeries,
     assemble_measure,
     build_series,
-    coefficient_ratio_h,
-    companion_v_status,
-    t_value,
 )
 from .curve import (
     BranchPointReport,

@@ -18,26 +18,24 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .curve import U_MARGIN, Intersection, KernelPoly, boundary_h, kernel, y_quadratic
+from .curve import U_MARGIN, Intersection, KernelPoly, _companion, boundary_h, kernel
 from .errors import (
     DegenerateT,
     Diverged,
     EmptyComponent,
     IllConditioned,
-    MixedGroup,
     NotEligible,
     OffCurve,
     StalledAtBranchPoint,
 )
 from .model import OFFSETS, WalkSpec, _per_walk, eligible
 from .oracle import _grid_residuals, balance_residuals
-from .terms import GammaSet, WeightedTerm, _close, _merge_terms, _term_sum
+from .terms import GammaSet, WeightedTerm, _merge_terms, _term_sum
 
 SEED_RESIDUAL_TOL = 1e-10
 SERIES_RESIDUAL_TOL = 1e-12
 T_DEGENERACY_TOL = 1e-14
 DIVERGENCE_GRACE = 4
-DOUBLE_ROOT_SEP = 1e-8
 
 TermLike = Union[WeightedTerm, Sequence[float]]
 
@@ -51,17 +49,10 @@ def _coords(term: TermLike) -> tuple[float, float]:
     return float(rho), float(sigma)
 
 
-def t_value(term: TermLike, spec: WalkSpec) -> float:
-    """Horizontal balance functional T of a point (rho, sigma).
-
-    A weighted pair sharing rho balances the horizontal axis exactly when
-    the T-weighted coefficients cancel; see coefficient_ratio_h.
-    """
-    return _t_of(spec)(*_coords(term))
-
-
 def _t_of(spec: WalkSpec) -> Callable[[float, float], float]:
-    """T of one walk as a function of (rho, sigma), kept per walk."""
+    """The horizontal balance functional T of one walk as a function of
+    (rho, sigma), kept per walk.  A weighted pair sharing rho balances the
+    horizontal axis exactly when the T-weighted coefficients cancel."""
     return _per_walk(spec, "_t", _build_t)
 
 
@@ -75,7 +66,7 @@ def _build_t(spec: WalkSpec) -> Callable[[float, float], float]:
     def t(rho: float, sigma: float) -> float:
         if not rho > 0.0:
             raise ValueError(
-                f"t_value needs rho > 0 (sigma > 0 in the vertical form), got {rho}"
+                f"T needs rho > 0 (sigma > 0 in the vertical form), got {rho}"
             )
         # rho^(-s) p(s, -1) in OFFSETS order; rho^1 and rho^0 p are exact.
         south = sum((rho * south_w, south_0, rho ** -1 * south_e))
@@ -84,114 +75,12 @@ def _build_t(spec: WalkSpec) -> Callable[[float, float], float]:
     return t
 
 
-@dataclass(frozen=True)
-class CompanionStatus:
-    """Companion outcome with the reason when none exists."""
-
-    term: Optional[WeightedTerm]
-    status: str  # ok | double-root | nonpositive | exits-u
-    value: float  # the raw other root, inf when the quadratic degenerates
-
-
-def _other_root(A: float, B: float, C: float, known: float) -> float:
-    scale = max(abs(A), abs(B), abs(C))
-    if scale == 0.0:
-        return math.nan
-    if abs(A) <= 1e-14 * scale:
-        return math.inf  # degree drop: the second root escapes to infinity
-    prod = A * known
-    if abs(prod) > 1e-14 * scale:
-        other = C / prod
-    else:
-        disc = max(B * B - 4.0 * A * C, 0.0)
-        sq = math.sqrt(disc)
-        q = -0.5 * (B + math.copysign(sq, B))
-        r1 = q / A
-        r2 = C / q if q != 0.0 else 0.0
-        other = r1 if abs(r1 - known) >= abs(r2 - known) else r2
-    # One Newton step tightens the Vieta value to full precision.  Near a
-    # double root the derivative collapses and the step would fling the
-    # value half a root away, so polishing only runs when well posed.
-    two_a = 2.0 * A
-    for _ in range(2):
-        if not math.isfinite(other):
-            break
-        lead = two_a * other
-        d = lead + B
-        if abs(d) <= 1e-8 * max(abs(lead), abs(B)):
-            break
-        other -= (A * other * other + B * other + C) / d
-    return other
-
-
-def _companion(ker: KernelPoly, rho: float, sigma: float) -> tuple[str, float]:
-    """Status and raw value of the other root of ``Q(rho, .)`` beside the
-    curve point (rho, sigma); see companion_v_status.  The point is taken
-    to be on the curve: a series checks each term as it makes it, and the
-    condition battery reads its ``on_curve`` verdict beside it.
-    """
-    A, B, C = y_quadratic(ker, rho)
-    other = _other_root(A, B, C, sigma)
-
-    # Equality is judged at the scale of the roots themselves: deep in a
-    # series both roots shrink toward zero and an absolute test would
-    # misread every companion there as a double root.  The threshold is
-    # sqrt(eps)-sized because root equality is only observable to the
-    # square root of the coefficient accuracy: at an exact branch point
-    # the computed roots still land about 1e-8 apart.
-    if math.isfinite(other) and abs(other - sigma) <= DOUBLE_ROOT_SEP * max(
-        abs(sigma), abs(other)
-    ):
-        return "double-root", other
-    if not math.isfinite(other) or other >= 1.0 - U_MARGIN:
-        return "exits-u", other
-    if other <= 0.0:
-        return "nonpositive", other
-    return "ok", other
-
-
-def companion_v_status(term: TermLike, spec: WalkSpec) -> CompanionStatus:
-    """Other root of the kernel quadratic in y at the term's x-coordinate.
-
-    Raises OffCurve when the term is not on the curve.
-    """
-    rho, sigma = _coords(term)
-    ker = kernel(spec)
-    if abs(ker.value(rho, sigma)) > SEED_RESIDUAL_TOL * ker.scale * max(
-        1.0, rho * rho
-    ) * max(1.0, sigma * sigma):
-        raise OffCurve(f"({rho}, {sigma}) is not on the kernel curve")
-    status, other = _companion(ker, rho, sigma)
-    if status != "ok":
-        return CompanionStatus(None, status, other)
-    alpha = term.alpha if isinstance(term, WeightedTerm) else 1.0
-    return CompanionStatus(WeightedTerm(rho, other, alpha), "ok", other)
-
-
 def _ratio(T1: float, T2: float) -> float:
+    """Coefficient multiplier of a rho-sharing pair with T values T1 and
+    T2: alpha2 = ratio * alpha1 makes the pair balance the horizontal axis."""
     if abs(T2) < T_DEGENERACY_TOL:
         raise DegenerateT(f"balancing value {T2} vanishes at working precision")
     return -T1 / T2
-
-
-def coefficient_ratio_h(
-    pair: Sequence[TermLike], spec: WalkSpec
-) -> float:
-    """Coefficient multiplier that makes a rho-sharing pair balance the
-    horizontal axis: alpha2 = ratio * alpha1 gives bh_sum = 0.
-
-    A zero numerator means the first term balances the axis alone and the
-    companion is not needed; the ratio is then 0.
-    """
-    t1, t2 = pair
-    r1, s1 = _coords(t1)
-    r2, s2 = _coords(t2)
-    if not _close(r1, r2):
-        raise MixedGroup(
-            f"pair does not share rho (sigma in the vertical form): {r1} vs {r2}"
-        )
-    t = _t_of(spec)
-    return _ratio(t(r1, s1), t(r2, s2))
 
 
 @dataclass(frozen=True)
@@ -280,10 +169,8 @@ def build_series(
     since the remaining terms cannot move the partial sums.
 
     The recursion is a loop of ``_step`` over the state (x, y, alpha,
-    side) of the last term on Python floats.  ``_step`` runs the bodies
-    that ``companion_v_status``, ``coefficient_ratio_h`` and ``t_value``
-    wrap, so the loop and the public functions share their arithmetic; a
-    ``WeightedTerm`` is made once per kept term.
+    side) of the last term on Python floats; a ``WeightedTerm`` is made
+    once per kept term.
 
     Raises
     ------

@@ -12,12 +12,13 @@ the zero set of Q carries every candidate term.
 
 At fixed x the kernel is a quadratic in y whose discriminant is a quartic
 in x; its real roots are the branch points that bound the positive
-component of the curve.  The boundary polynomials H and V play the same
-role for the balance equations on the two axes.  H is linear in y, so the
-points where the curve meets H = 0 (the seeds of the compensation series)
-are the real roots of one polynomial in x of degree at most six; V is H
-of the transposed walk.  Branch points and seeds share one real-root
-finder.
+component of the curve.  The quadratic's other root beside a curve point
+is that point's companion in the compensation series.  The boundary
+polynomials H and V play the same role for the balance equations on the
+two axes.  H is linear in y, so the points where the curve meets H = 0
+(the seeds of the compensation series) are the real roots of one
+polynomial in x of degree at most six; V is H of the transposed walk.
+Branch points and seeds share one real-root finder.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .model import WalkSpec, _per_walk, drift, eligible, singular_class
 UNIT_ROOT_TOL = 1e-8     # |x - 1| below this counts as the unit branch point
 DEGREE_DROP_TOL = 1e-12  # leading coefficient cutoff, relative to max |coeff|
 DOUBLE_ROOT_TOL = 1e-8   # cluster width for multiplicity detection
+DOUBLE_ROOT_SEP = 1e-8   # relative gap below which a companion is the double root
 ONCURVE_TOL = 1e-10
 EQUALITY_TOL = 1e-12     # sub-case boundary p0 = 2*sqrt(pm*pp)
 
@@ -135,6 +137,65 @@ def y_quadratic(ker: KernelPoly, x):
     B = c[0][1] + x * (c[1][1] + x * c[2][1])
     C = c[0][0] + x * (c[1][0] + x * c[2][0])
     return A, B, C
+
+
+def _other_root(A: float, B: float, C: float, known: float) -> float:
+    scale = max(abs(A), abs(B), abs(C))
+    if scale == 0.0:
+        return math.nan
+    if abs(A) <= 1e-14 * scale:
+        return math.inf  # degree drop: the second root escapes to infinity
+    prod = A * known
+    if abs(prod) > 1e-14 * scale:
+        other = C / prod
+    else:
+        disc = max(B * B - 4.0 * A * C, 0.0)
+        sq = math.sqrt(disc)
+        q = -0.5 * (B + math.copysign(sq, B))
+        r1 = q / A
+        r2 = C / q if q != 0.0 else 0.0
+        other = r1 if abs(r1 - known) >= abs(r2 - known) else r2
+    # One Newton step tightens the Vieta value to full precision.  Near a
+    # double root the derivative collapses and the step would fling the
+    # value half a root away, so polishing only runs when well posed.
+    two_a = 2.0 * A
+    for _ in range(2):
+        if not math.isfinite(other):
+            break
+        lead = two_a * other
+        d = lead + B
+        if abs(d) <= 1e-8 * max(abs(lead), abs(B)):
+            break
+        other -= (A * other * other + B * other + C) / d
+    return other
+
+
+def _companion(ker: KernelPoly, rho: float, sigma: float) -> tuple[str, float]:
+    """Status and raw value of the other root of ``Q(rho, .)`` beside the
+    curve point (rho, sigma), the companion that shares rho.  The status
+    is ok, double-root, nonpositive or exits-u; the value is inf when the
+    quadratic degenerates.  The point is taken to be on the curve: a
+    series checks each term as it makes it, and the condition battery
+    reads its ``on_curve`` verdict beside it.
+    """
+    A, B, C = y_quadratic(ker, rho)
+    other = _other_root(A, B, C, sigma)
+
+    # Equality is judged at the scale of the roots themselves: deep in a
+    # series both roots shrink toward zero and an absolute test would
+    # misread every companion there as a double root.  The threshold is
+    # sqrt(eps)-sized because root equality is only observable to the
+    # square root of the coefficient accuracy: at an exact branch point
+    # the computed roots still land about 1e-8 apart.
+    if math.isfinite(other) and abs(other - sigma) <= DOUBLE_ROOT_SEP * max(
+        abs(sigma), abs(other)
+    ):
+        return "double-root", other
+    if not math.isfinite(other) or other >= 1.0 - U_MARGIN:
+        return "exits-u", other
+    if other <= 0.0:
+        return "nonpositive", other
+    return "ok", other
 
 
 def disc_y_coeffs(ker: KernelPoly) -> np.ndarray:

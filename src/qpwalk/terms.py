@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .curve import ONCURVE_TOL, U_MARGIN, boundary_h, kernel
+from .curve import ONCURVE_TOL, U_MARGIN, _companion, boundary_h, kernel
 from .errors import EmptyComponent, MixedGroup
 from .model import WalkSpec
 
@@ -369,8 +369,6 @@ def necessary_conditions(
     ``claims_infinite`` false only the first two verdicts apply and no
     companion is sought; the others report None.
     """
-    from .compensation import _companion  # compensation imports this module
-
     ker, twin_ker = kernel(spec), kernel(spec.transpose())
     residuals, in_u, blocked, envelopes = [], [], [], []
     for index, t in enumerate(g.terms):

@@ -11,9 +11,12 @@ frames, the balance residuals of one grid added one shifted slice at a
 time on meshgrids, and the corner residuals of one series at a time.  The
 shipped code must give their bytes.  Each function keeps the name and
 signature of what it stands in for, so a test can monkeypatch it in.
+``t_value``, ``companion_v_status`` and ``coefficient_ratio_h`` are the
+per-term forms of the series' private T, companion and ratio bodies.
 """
 
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,16 +24,14 @@ from numpy.polynomial import polynomial as npoly
 
 from qpwalk.compensation import (
     DIVERGENCE_GRACE,
-    DOUBLE_ROOT_SEP,
     SEED_RESIDUAL_TOL,
     SERIES_RESIDUAL_TOL,
-    CompanionStatus,
     CompensationSeries,
     _coords,
     _ratio,
     _tail_estimate,
 )
-from qpwalk.curve import DEGREE_DROP_TOL, U_MARGIN, Intersection, kernel
+from qpwalk.curve import DEGREE_DROP_TOL, DOUBLE_ROOT_SEP, U_MARGIN, Intersection, kernel
 from qpwalk.errors import (
     ComplexRoots,
     Diverged,
@@ -209,7 +210,7 @@ def boundary_h(spec, x, y):
 
 
 def t_value(term, spec):
-    """``compensation.t_value`` on a term, south steps added by ``sum``."""
+    """T of ``compensation._t_of`` on a term, south steps added by ``sum``."""
     east, west = spec.h(1), spec.h(-1)
     north = sum(spec.p(s, 1) for s in OFFSETS)
     south_steps = [(s, spec.p(s, -1)) for s in OFFSETS]
@@ -248,7 +249,18 @@ def other_root(A, B, C, known):
     return other
 
 
+@dataclass(frozen=True)
+class CompanionStatus:
+    """Companion outcome with the reason when none exists."""
+
+    term: Optional[WeightedTerm]
+    status: str  # ok | double-root | nonpositive | exits-u
+    value: float  # the raw other root, inf when the quadratic degenerates
+
+
 def companion_v_status(term, spec):
+    """``curve._companion`` on a term, after a check that it is on the
+    curve; ``.term`` is the companion with the term's coefficient."""
     ker = kernel(spec)
     rho, sigma = _coords(term)
     if abs(ker.value(rho, sigma)) > SEED_RESIDUAL_TOL * ker.scale * max(
@@ -270,6 +282,7 @@ def companion_v_status(term, spec):
 
 
 def coefficient_ratio_h(pair, spec):
+    """``compensation._ratio`` of the T values of a rho-sharing pair."""
     t1, t2 = pair
     r1, _ = _coords(t1)
     r2, _ = _coords(t2)
@@ -473,7 +486,6 @@ def patch_all(monkeypatch):
 
     monkeypatch.setattr(curve.KernelPoly, "value", kernel_value)
     monkeypatch.setattr(curve, "y_quadratic", y_quadratic)
-    monkeypatch.setattr(compensation, "y_quadratic", y_quadratic)
     monkeypatch.setattr(curve, "_polyval", polyval)
     monkeypatch.setattr(curve, "real_roots", real_roots)
     monkeypatch.setattr(terms.GammaSet, "__init__", gamma_init)

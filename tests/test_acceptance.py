@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qpwalk as q
+from qpwalk.compensation import _t_of
 from conftest import PRESET_NAMES, random_gamma, random_walk, twelve_dot_set
 from partition_oracle import brute_force_partition
 from power_reference import power_stationary
@@ -45,7 +46,8 @@ def test_criterion_2_alternating_series_signs(switch, switch_series, switch_meas
             pair, walk = series.terms[k : k + 2], switch
             if link == "V-coupled":
                 pair, walk = [t.transpose() for t in pair], switch.transpose()
-            ratios.append(q.t_value(pair[0], walk) / q.t_value(pair[1], walk))
+            t = _t_of(walk)
+            ratios.append(t(pair[0].rho, pair[0].sigma) / t(pair[1].rho, pair[1].sigma))
         # Strict sign: every ratio of consecutive T values must be positive
         # from some index on, and that index must come early.
         bad = [k for k, r in enumerate(ratios) if not r > 0.0]

@@ -8,18 +8,18 @@ import pytest
 
 import qpwalk as q
 from qpwalk import cli, compensation, presets
-from qpwalk.compensation import companion_v_status, t_value
-from qpwalk.curve import U_MARGIN, y_quadratic
+from qpwalk.compensation import _ratio, _t_of
+from qpwalk.curve import U_MARGIN, _companion, y_quadratic
 from qpwalk.errors import (
     DegenerateT,
     Diverged,
     EmptyComponent,
     IllConditioned,
-    MixedGroup,
     NotEligible,
     OffCurve,
     StalledAtBranchPoint,
 )
+from qpwalk.terms import _close
 
 from conftest import PRESET_NAMES, random_walk
 
@@ -48,15 +48,15 @@ def test_t_value_at_one_one_is_vertical_drift():
     for _ in range(25):
         spec = random_walk(rng)
         d = q.drift(spec)
-        assert t_value((1.0, 1.0), spec) == pytest.approx(d.my, abs=1e-15)
-        assert t_value((1.0, 1.0), spec.transpose()) == pytest.approx(d.mx, abs=1e-15)
+        assert _t_of(spec)(1.0, 1.0) == pytest.approx(d.my, abs=1e-15)
+        assert _t_of(spec.transpose())(1.0, 1.0) == pytest.approx(d.mx, abs=1e-15)
 
 
 def test_t_value_rejects_nonpositive_coordinates(switch):
     with pytest.raises(ValueError):
-        t_value((0.0, 0.5), switch)
+        _t_of(switch)(0.0, 0.5)
     with pytest.raises(ValueError):
-        t_value((-0.2, 0.5), switch.transpose())
+        _t_of(switch.transpose())(-0.2, 0.5)
 
 
 # --- companions ---
@@ -64,21 +64,18 @@ def test_t_value_rejects_nonpositive_coordinates(switch):
 
 def test_companion_values_at_switch_seeds(switch, switch_seeds):
     h, v = switch_seeds
-    st = companion_v_status(q.WeightedTerm(h.x, h.y, 1.0).transpose(), switch.transpose())
-    assert st.status == "ok"
-    assert st.value == pytest.approx(0.036842571570369596, rel=1e-10)
-    st = companion_v_status(q.WeightedTerm(v.x, v.y, 1.0), switch)
-    assert st.status == "ok"
-    assert st.value == pytest.approx(0.08460066527608061, rel=1e-10)
+    status, value = _companion(q.kernel(switch.transpose()), h.y, h.x)
+    assert status == "ok"
+    assert value == pytest.approx(0.036842571570369596, rel=1e-10)
+    status, value = _companion(q.kernel(switch), v.x, v.y)
+    assert status == "ok"
+    assert value == pytest.approx(0.08460066527608061, rel=1e-10)
 
 
 def test_companion_exits_unit_square_at_h_seed(switch, switch_seeds):
     # the other root above the horizontal seed is exactly y = 1
     h = switch_seeds[0]
-    st = companion_v_status(q.WeightedTerm(h.x, h.y, 1.0), switch)
-    assert st.status == "exits-u"
-    assert st.term is None
-    assert q.companion_v_status(q.WeightedTerm(h.x, h.y, 1.0), switch).term is None
+    assert _companion(q.kernel(switch), h.x, h.y)[0] == "exits-u"
 
 
 def test_companion_within_u_margin_of_one_exits_u():
@@ -96,52 +93,39 @@ def test_companion_within_u_margin_of_one_exits_u():
     assert not q.singular_class(spec).singular
     A, B, C = y_quadratic(q.kernel(spec), 0.5)
     assert (A, B, C) == pytest.approx((1.0, -(0.5 + b), 0.5 * b), abs=1e-15)
-    st = companion_v_status(q.WeightedTerm(0.5, 0.5, 1.0), spec)
-    assert 1.0 - U_MARGIN < st.value < 1.0
-    assert st.status == "exits-u"
-    assert st.term is None
+    status, value = _companion(q.kernel(spec), 0.5, 0.5)
+    assert 1.0 - U_MARGIN < value < 1.0
+    assert status == "exits-u"
 
 
 def test_companion_double_root_at_corners(switch):
     rep = q.branch_points(switch)
     ker = q.kernel(switch)
     A, B, _ = y_quadratic(ker, rep.x.high)
-    corner = q.WeightedTerm(rep.x.high, -B / (2 * A), 1.0)
-    assert companion_v_status(corner, switch).status == "double-root"
-    A, B, _ = y_quadratic(q.kernel(switch.transpose()), rep.y.high)
-    corner = q.WeightedTerm(-B / (2 * A), rep.y.high, 1.0)
-    assert companion_v_status(corner.transpose(), switch.transpose()).status == "double-root"
+    assert _companion(ker, rep.x.high, -B / (2 * A))[0] == "double-root"
+    twin_ker = q.kernel(switch.transpose())
+    A, B, _ = y_quadratic(twin_ker, rep.y.high)
+    assert _companion(twin_ker, rep.y.high, -B / (2 * A))[0] == "double-root"
 
 
 def test_companion_vieta_product(switch, switch_series):
     ker = q.kernel(switch)
     for term in switch_series[0].terms[:6]:
-        st = companion_v_status(term, switch)
-        if st.term is None:
+        status, value = _companion(ker, term.rho, term.sigma)
+        if status != "ok":
             continue
         A, _, C = y_quadratic(ker, term.rho)
-        assert term.sigma * st.value == pytest.approx(C / A, rel=1e-11)
+        assert term.sigma * value == pytest.approx(C / A, rel=1e-11)
 
 
 def test_companion_involution(switch, switch_series):
+    ker = q.kernel(switch)
     term = switch_series[0].terms[2]
-    down = q.companion_v_status(term, switch).term
-    if down is not None:
-        back = q.companion_v_status(down, switch).term
-        assert back is not None
-        assert back.sigma == pytest.approx(term.sigma, rel=1e-9)
-
-
-def test_companion_requires_on_curve_input(switch):
-    with pytest.raises(OffCurve):
-        companion_v_status(q.WeightedTerm(0.5, 0.5, 1.0), switch)
-
-
-def test_companion_preserves_coefficient(switch, switch_series):
-    term = switch_series[0].terms[0]
-    scaled = q.WeightedTerm(term.rho, term.sigma, -2.5)
-    st = companion_v_status(scaled.transpose(), switch.transpose())
-    assert st.term.alpha == -2.5
+    status, down = _companion(ker, term.rho, term.sigma)
+    if status == "ok":
+        status, back = _companion(ker, term.rho, down)
+        assert status == "ok"
+        assert back == pytest.approx(term.sigma, rel=1e-9)
 
 
 # --- coefficient ratios ---
@@ -150,29 +134,21 @@ def test_companion_preserves_coefficient(switch, switch_series):
 def test_ratio_requires_shared_coordinate(switch, switch_series):
     t1, t2 = switch_series[0].terms[0], switch_series[0].terms[1]
     # this pair shares sigma, not rho
-    with pytest.raises(MixedGroup):
-        q.coefficient_ratio_h((t1, t2), switch)
-    assert q.coefficient_ratio_h((t1.transpose(), t2.transpose()), switch.transpose()) < 0
-
-
-@pytest.mark.parametrize("rho2", [math.inf, -math.inf])
-def test_ratio_with_an_infinite_rho_is_a_mixed_group(switch, rho2):
-    # An infinite coordinate shares rho with no finite one, nor with itself.
-    with pytest.raises(MixedGroup):
-        q.coefficient_ratio_h(((0.5, 0.3), (rho2, 0.2)), switch)
-    with pytest.raises(MixedGroup):
-        q.coefficient_ratio_h(((rho2, 0.3), (rho2, 0.2)), switch)
+    assert not _close(t1.rho, t2.rho)
+    t = _t_of(switch.transpose())
+    assert _ratio(t(t1.sigma, t1.rho), t(t2.sigma, t2.rho)) < 0
 
 
 def test_series_coefficients_follow_ratios(switch, switch_series):
     for ser in switch_series:
         for k, link in enumerate(ser.links):
             t1, t2 = ser.terms[k], ser.terms[k + 1]
-            ratio = (
-                q.coefficient_ratio_h((t1, t2), switch)
-                if link == "H-coupled"
-                else q.coefficient_ratio_h((t1.transpose(), t2.transpose()), switch.transpose())
-            )
+            if link == "V-coupled":
+                t1, t2, walk = t1.transpose(), t2.transpose(), switch.transpose()
+            else:
+                walk = switch
+            t = _t_of(walk)
+            ratio = _ratio(t(t1.rho, t1.sigma), t(t2.rho, t2.sigma))
             assert t2.alpha == pytest.approx(ratio * t1.alpha, rel=1e-12)
 
 
@@ -180,9 +156,10 @@ def test_ratio_at_a_vanishing_balancing_value_raises(switch, switch_seeds):
     # The H seed balances the horizontal axis alone, so its T is zero up
     # to rounding and cannot divide.
     h = switch_seeds[0]
-    assert abs(t_value((h.x, h.y), switch)) < compensation.T_DEGENERACY_TOL
+    t = _t_of(switch)
+    assert abs(t(h.x, h.y)) < compensation.T_DEGENERACY_TOL
     with pytest.raises(DegenerateT, match="vanishes at working precision"):
-        q.coefficient_ratio_h(((h.x, 0.5), (h.x, h.y)), switch)
+        _ratio(t(h.x, 0.5), t(h.x, h.y))
 
 
 # --- series construction ---

@@ -3,7 +3,6 @@ the numpy and all-pairs forms kept in ``scalar_reference``."""
 
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ import pytest
 import qpwalk as q
 from qpwalk import cli, curve, oracle, terms
 from qpwalk.cli import main
-from qpwalk.compensation import _merge_terms
+from qpwalk.compensation import _merge_terms, _ratio, _t_of
 from qpwalk.terms import COUPLE_TOL, GammaSet, WeightedTerm, _close
 
 import scalar_reference as ref
@@ -190,25 +189,26 @@ def test_balancing_values_and_companions_match_reference():
     rng = np.random.default_rng(103)
     for name, spec in _walks():
         for walk in (spec, spec.transpose()):
+            ker, t = q.kernel(walk), _t_of(walk)
             for x, y in _points(walk, rng):
                 if x > 0.0:
-                    assert _bytes(q.t_value((x, y), walk)) == _bytes(ref.t_value((x, y), walk))
+                    assert _bytes(t(x, y)) == _bytes(ref.t_value((x, y), walk))
+                status, value = curve._companion(ker, x, y)
                 try:
                     want = ref.companion_v_status((x, y), walk)
-                except q.OffCurve as exc:
-                    with pytest.raises(q.OffCurve, match=re.escape(str(exc))):
-                        q.companion_v_status((x, y), walk)
+                except q.OffCurve:
+                    # The reference checks the curve first; off it, the
+                    # root alone is compared.
+                    A, B, C = (float(v) for v in ref.y_quadratic(ker, x))
+                    assert _bytes(value) == _bytes(ref.other_root(A, B, C, y))
                     continue
-                got = q.companion_v_status((x, y), walk)
-                assert (got.status, _bytes(got.value)) == (want.status, _bytes(want.value))
-                assert got.term == want.term
-                if got.term is not None and x > 0.0:
-                    pair = ((x, y), got.term)
+                assert (status, _bytes(value)) == (want.status, _bytes(want.value))
+                if status == "ok" and x > 0.0:
                     try:
-                        ratio = ref.coefficient_ratio_h(pair, walk)
+                        ratio = ref.coefficient_ratio_h(((x, y), (x, value)), walk)
                     except q.DegenerateT:
                         continue
-                    assert _bytes(q.coefficient_ratio_h(pair, walk)) == _bytes(ratio)
+                    assert _bytes(_ratio(t(x, y), t(x, value))) == _bytes(ratio)
 
 
 def _outcome_of(build):

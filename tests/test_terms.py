@@ -1,10 +1,13 @@
 """Weighted geometric terms, uncoupled partitions and necessary conditions."""
 
+import math
+
 import numpy as np
 import pytest
 
 import qpwalk as q
 from qpwalk.errors import EmptyComponent, MixedGroup
+from qpwalk.terms import _close
 
 from conftest import product_form_walk, random_gamma, twelve_dot_set
 from partition_oracle import TooLarge, brute_force_partition
@@ -15,6 +18,14 @@ def terms_of(*pairs):
 
 
 # --- WeightedTerm / GammaSet basics ---
+
+
+def test_close_is_false_at_an_infinite_coordinate():
+    # An infinite coordinate is close to no finite one, nor to itself.
+    inf = math.inf
+    for a, b in ((0.5, inf), (inf, inf), (-inf, -inf), (inf, -inf)):
+        assert not _close(a, b), (a, b)
+    assert _close(0.5, 0.5 * (1 + 1e-10))
 
 
 def test_term_dict_round_trip():
