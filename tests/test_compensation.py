@@ -15,11 +15,12 @@ from qpwalk.errors import (
     Diverged,
     EmptyComponent,
     IllConditioned,
+    MixedGroup,
     NotEligible,
     OffCurve,
     StalledAtBranchPoint,
 )
-from qpwalk.terms import _close
+from qpwalk.terms import _bh_terms, _close
 
 from conftest import PRESET_NAMES, random_walk
 
@@ -137,6 +138,15 @@ def test_ratio_requires_shared_coordinate(switch, switch_series):
     assert not _close(t1.rho, t2.rho)
     t = _t_of(switch.transpose())
     assert _ratio(t(t1.sigma, t1.rho), t(t2.sigma, t2.rho)) < 0
+
+
+@pytest.mark.parametrize("rho2", [math.inf, -math.inf])
+def test_ratio_with_an_infinite_rho_is_a_mixed_group(switch, rho2):
+    # An infinite coordinate shares rho with no finite one, nor with itself.
+    with pytest.raises(MixedGroup):
+        _bh_terms([q.WeightedTerm(0.5, 0.3, 1.0), q.WeightedTerm(rho2, 0.2, 1.0)], switch)
+    with pytest.raises(MixedGroup):
+        _bh_terms([q.WeightedTerm(rho2, 0.3, 1.0), q.WeightedTerm(rho2, 0.2, 1.0)], switch)
 
 
 def test_series_coefficients_follow_ratios(switch, switch_series):
