@@ -10,6 +10,7 @@ from .compensation import (
     CompensationSeries,
     assemble_measure,
     build_series,
+    construct,
 )
 from .curve import (
     BranchPointReport,

@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from . import presets
-from .compensation import assemble_measure, build_series
-from .curve import branch_points, curve_boundary_intersections, detect_singularity, trace_qplus
+from .compensation import construct
+from .curve import branch_points, detect_singularity, trace_qplus
 from .errors import (
     EmptyComponent,
     InvalidRouting,
@@ -37,11 +37,6 @@ from .terms import GammaSet, maximal_partitions
 
 INPUT_ERRORS = (InvalidWalk, InvalidRouting, SingularWalk, ValueError,
                 KeyError, OSError, json.JSONDecodeError)
-
-# construct rebuilds its series on a tighter tolerance at most this often
-# (see _follow_gate); random walks whose series stopped short of the gate
-# needed 1 to 3 rebuilds.
-TIGHTEN_ROUNDS = 4
 
 # verify compares on the core min(8, n - 10), which must hold a cell
 # beside the origin, so a nonzero --oracle-n must be at least 11.
@@ -171,62 +166,17 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _follow_gate(spec: WalkSpec, series: list, args) -> tuple:
-    """The series, rebuilt until their tails fit the gate, and their assembly.
-
-    ``build_series`` stops a series on its own unweighted, absolute norms,
-    while the gate judges the weighted measure relative to its mass.  So
-    after each assembly the weighted tail sum |w_k| * tail_bound_k is held
-    against ``--tol`` times the least of m(0,0), m(1,0) and m(0,1); while
-    it is larger, every series is rebuilt from its seed with its tolerance
-    scaled by their ratio, at most ``TIGHTEN_ROUNDS`` times.  A restart
-    repeats the terms it had, so only the added terms are new.  A seed whose
-    rebuild raises keeps its last series, and the tightening stops there.
-    """
-    series, tol, stalled = list(series), args.tol, False
-    assembled = assemble_measure(series, spec, window=args.window)
-    for _ in range(TIGHTEN_ROUNDS):
-        m = assembled.gamma.value
-        budget = args.tol * min(m(0, 0), m(1, 0), m(0, 1))
-        tail = sum(abs(w) * s.tail_bound for w, s in zip(assembled.weights, series))
-        if stalled or not 0.0 < budget < tail:
-            break
-        tol *= budget / tail
-        for k, s in enumerate(series):
-            try:
-                series[k] = build_series(spec, s.start, tol=tol, max_terms=args.max_terms)
-            except QpwalkError:
-                stalled = True
-        assembled = assemble_measure(series, spec, window=args.window)
-    return series, assembled
-
-
 def _cmd_construct(args) -> int:
     spec = _load_walk(args.walk)
-    seeds = curve_boundary_intersections(spec)
+    seeds, series, failures, assembled = construct(spec, args.tol, args.max_terms, args.window)
     if not seeds:
         return _fail(1, "no boundary seeds found on the positive curve component")
-    series = []
-    failures = []
-    for inter in seeds:
-        try:
-            series.append(build_series(spec, (inter.x, inter.y),
-                                       tol=args.tol, max_terms=args.max_terms))
-        except QpwalkError as exc:
-            failures.append({
-                "seed": inter.to_dict(),
-                "error": type(exc).__name__,
-                "message": str(exc),
-            })
-    if not series:
+    if assembled is None:
         return _fail(1, "every seed failed", {"failures": failures})
-    series, assembled = _follow_gate(spec, series, args)
     doc = {
         "seeds": [inter.to_dict() for inter in seeds],
         "series": [s.to_dict() for s in series],
-        "failures": failures,
-        "tol": args.tol,
-        "max_terms": args.max_terms,
+        "failures": failures, "tol": args.tol, "max_terms": args.max_terms,
     }
     doc.update(assembled.to_dict())
     _emit(dumps(doc) + "\n", args.output)

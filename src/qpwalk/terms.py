@@ -260,12 +260,11 @@ def maximal_partitions(g: GammaSet) -> PartitionResult:
 def _bh_terms(terms: Sequence[WeightedTerm], spec: WalkSpec) -> float:
     if not terms:
         raise MixedGroup("empty group")
-    rho = terms[0].rho
-    for t in terms[1:]:
-        if not _close(t.rho, rho):
-            raise MixedGroup(
-                f"shared coordinates {rho} and {t.rho} differ beyond tolerance"
-            )
+    # Neighbours in sorted order, as maximal_partitions chains its groups.
+    rhos = sorted(t.rho for t in terms)
+    for a, b in zip(rhos, rhos[1:]):
+        if not _close(a, b):
+            raise MixedGroup(f"shared coordinates {a} and {b} differ beyond tolerance")
     return float(sum(t.alpha * boundary_h(spec, t.rho, t.sigma) for t in terms))
 
 
@@ -278,7 +277,7 @@ def bh_sum(g: GammaSet, group: Sequence[int], spec: WalkSpec) -> float:
     Raises
     ------
     MixedGroup
-        If the group members do not all share the same rho.
+        If the group's rhos, sorted, are not each close to the next.
     """
     return _bh_terms([g.terms[i] for i in group], spec)
 
@@ -348,7 +347,7 @@ def necessary_conditions(
     """Test the conditions a countably infinite sum of geometric terms
     must satisfy to be an invariant measure.
 
-    Four verdicts, every one necessary:
+    Two necessary verdicts, then two heuristics the paper does not state:
 
     * ``on_curve``: each term lies on the kernel curve, its scaled
       residual at most ``ONCURVE_TOL``.

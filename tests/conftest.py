@@ -49,18 +49,23 @@ def switch():
 
 
 @pytest.fixture(scope="session")
-def switch_seeds(switch):
-    return q.curve_boundary_intersections(switch)
+def switch_construct(switch):
+    return q.construct(switch)
 
 
 @pytest.fixture(scope="session")
-def switch_series(switch, switch_seeds):
-    return tuple(q.build_series(switch, s, tol=1e-12) for s in switch_seeds)
+def switch_seeds(switch_construct):
+    return switch_construct[0]
 
 
 @pytest.fixture(scope="session")
-def switch_measure(switch, switch_series):
-    return q.assemble_measure(list(switch_series), switch, window=12)
+def switch_series(switch_construct):
+    return tuple(switch_construct[1])
+
+
+@pytest.fixture(scope="session")
+def switch_measure(switch_construct):
+    return switch_construct[3]
 
 
 @pytest.fixture(scope="session")

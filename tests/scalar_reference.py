@@ -495,7 +495,6 @@ def patch_all(monkeypatch):
     monkeypatch.setattr(terms, "maximal_partitions", maximal_partitions)
     monkeypatch.setattr(cli, "maximal_partitions", maximal_partitions)
     monkeypatch.setattr(compensation, "build_series", build_series)
-    monkeypatch.setattr(cli, "build_series", build_series)
     monkeypatch.setattr(compensation, "_corner_residuals", corner_residuals)
     for module in (oracle, compensation):
         monkeypatch.setattr(module, "_grid_residuals", grid_residuals)

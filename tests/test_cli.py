@@ -227,6 +227,29 @@ def test_construct_series_follow_the_gate(capsys, tmp_path, seed, draw):
     assert json.loads(out)["verdict"] == "pass"
 
 
+def test_library_construct_follows_the_gate():
+    # Draw 142 of generator seed 1: stopped on their own norms its series
+    # leave the measure 1.2e-11 off balance.
+    seeds, series, failures, measure = q.construct(_forced_draws(1, 143)[142])
+    assert (len(seeds), failures) == (2, [])
+    assert [len(s.terms) for s in series] == [31, 26]
+    assert measure.report.worst <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["switch_fig7", "fig2d"])
+def test_construct_writes_the_library_result(capsys, name):
+    seeds, series, failures, measure = q.construct(q.presets.load(name))
+    doc = {
+        "seeds": [inter.to_dict() for inter in seeds],
+        "series": [s.to_dict() for s in series],
+        "failures": failures, "tol": 1e-12, "max_terms": 200,
+        **measure.to_dict(),
+    }
+    code, out, err = run_cli(capsys, "construct", name)
+    assert (code, err) == (0, "")
+    assert out == dumps(doc) + "\n"
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
 def test_verify_rejects_tol_not_positive_and_finite(capsys, tmp_path, tol):
     # --tol inf would pass any measure; nan, 0 and -1 would fail every one.

@@ -308,6 +308,19 @@ def test_series_of_transposed_walk_is_the_mirror_image(name):
         assert (mirror.tail_bound, mirror.stopped) == (ser.tail_bound, ser.stopped)
 
 
+@pytest.mark.parametrize("name, n_terms", [("switch_fig7", 53), ("fig2d", 48)])
+def test_construct_of_transposed_walk_swaps_rho_and_sigma(name, n_terms):
+    # The measure of the twin is the measure with its coordinates swapped:
+    # one relative rounding (9.0e-16 and 1.0e-15) from the assembly's solve.
+    spec = presets.load(name)
+    measure = q.construct(spec)[3]
+    mirror = q.construct(spec.transpose())[3]
+    assert len(measure.gamma) == len(mirror.gamma) == n_terms
+    got = sorted((t.rho, t.sigma, t.alpha) for t in measure.gamma)
+    want = sorted((t.sigma, t.rho, t.alpha) for t in mirror.gamma)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_branch_points_of_transposed_walk_swap_axes(name):
     spec = presets.load(name)

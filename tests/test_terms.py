@@ -176,6 +176,21 @@ def test_bh_sum_mixed_group_raises(switch):
     q.bv_sum(g, (0, 1), switch)
 
 
+def test_bh_and_bv_sums_accept_a_chain_of_close_rhos(switch):
+    # Each rho is within COUPLE_TOL of the next but the last is not of the
+    # first: maximal_partitions groups such a chain, so the sums accept it.
+    chain = [(0.5, 0.2, 1.0), (0.5 * (1 + 0.8e-9), 0.3, 2.0), (0.5 * (1 + 1.6e-9), 0.4, 3.0)]
+    g = terms_of(*chain)
+    assert q.maximal_partitions(g).h_groups == ((0, 1, 2),)
+    want = sum(a * q.boundary_h(switch, r, s) for r, s, a in chain)
+    assert q.bh_sum(g, (0, 1, 2), switch) == pytest.approx(want, rel=1e-15)
+    # The same chain in sigma: the vertical balance is the twin's horizontal one.
+    flipped = terms_of(*((s, r, a) for r, s, a in chain))
+    assert q.maximal_partitions(flipped).v_groups == ((0, 1, 2),)
+    want = sum(a * q.boundary_h(switch.transpose(), r, s) for r, s, a in chain)
+    assert q.bv_sum(flipped, (0, 1, 2), switch) == pytest.approx(want, rel=1e-15)
+
+
 def test_coupled_pair_balances_horizontal(switch, switch_series):
     # consecutive terms joined by an H link cancel in the horizontal sum
     ser = switch_series[1]  # V-seeded series starts with an H-coupled link
