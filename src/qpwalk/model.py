@@ -166,8 +166,8 @@ def validate(spec: WalkSpec) -> list[ValidationIssue]:
 
     An empty list means the walk is valid.  Checked invariants: entries are
     finite and nonnegative, the interior law sums to one, each axis law
-    plus the interior steps leaving that axis sums to one, and the interior
-    self-loop probability is strictly below one.
+    plus the interior steps leaving that axis sums to one, and the stay
+    probabilities of the interior and of each axis are strictly below one.
     """
     issues: list[ValidationIssue] = []
     regions = (
@@ -204,11 +204,11 @@ def validate(spec: WalkSpec) -> list[ValidationIssue]:
                 )
             )
 
-    p00 = spec.p(0, 0)
-    if p00 >= 1.0 - STOCH_TOL:
-        issues.append(
-            ValidationIssue("Degenerate", "p[0][0]", abs(1.0 - p00), "p[0][0] = 1")
-        )
+    # A stay of one makes its states absorbing: the interior, or every
+    # state of an axis.
+    for name, stay in (("p[0][0]", spec.p(0, 0)), ("h[0]", spec.h(0)), ("v[0]", spec.v(0))):
+        if stay >= 1.0 - STOCH_TOL:
+            issues.append(ValidationIssue("Degenerate", name, abs(1.0 - stay), f"{name} = 1"))
     return issues
 
 

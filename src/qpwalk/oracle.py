@@ -34,6 +34,9 @@ class LatticeWindow:
     values: np.ndarray  # shape (n+1, n+1), values[i, j] = pi(i, j)
 
     def core(self, size: int) -> np.ndarray:
+        """The grid on {0..size} squared, renormalized to unit mass."""
+        if not 0 <= size <= self.n:
+            raise ValueError(f"core size {size} outside the truncation 0..{self.n}")
         block = self.values[: size + 1, : size + 1]
         return block / block.sum()
 
@@ -94,8 +97,10 @@ def transition_matrix(spec: WalkSpec, n: int) -> sp.csr_matrix:
 
 
 # Largest block _escape_inverse inverts in one Gauss-Jordan sweep; larger
-# ones it splits in two.  In BENCH_gauss_jordan_leaf.json the sweep is flat
-# from 16 to 32 rows and slower at 40 and 48; at 32, N = 161 splits three times.
+# ones it splits in two.  In BENCH_transposed_leaf.json's sweep of this bound
+# over 16..48, a 161-row inversion is within 20% at every value and the n=160
+# solve is fastest at 32, where N = 161 splits three times.  Another value
+# re-splits the blocks and so moves the bits of every grid.
 _LEAF = 32
 
 
@@ -143,6 +148,11 @@ def _escape_inverse(W: np.ndarray, escape: np.ndarray) -> np.ndarray:
     is divided by its pivot once, at the end.  Every step adds, multiplies
     or divides non-negative numbers, so each entry keeps full relative
     accuracy.
+
+    The sweep runs on [W | escape | I] stored transposed, so each step adds
+    into contiguous memory, but the block it returns is C-ordered like
+    every block the split builds: the Schur products then take the same
+    BLAS path whatever the leaf's storage, and their bits do not move.
     """
     m = W.shape[0]
     if m > _LEAF:
@@ -157,18 +167,23 @@ def _escape_inverse(W: np.ndarray, escape: np.ndarray) -> np.ndarray:
         X[h:, :h] = Y @ Q
         X[h:, h:] = Y
         return X
-    # Gauss-Jordan on [W | escape | I]; at step k row k can be nonzero only
-    # in columns k+1 .. m+1+k: later states, the escape, X's first k+1.
-    A = np.hstack([W, escape[:, None], np.eye(m)])
+    # Gauss-Jordan on A = [W | escape | I], stored transposed: column k of
+    # A is AT[k] and row k is AT[:, k].  At step k row k can be nonzero only
+    # in columns k+1 .. m+1+k (later states, the escape, X's first k+1), so
+    # the step adds into the contiguous rows AT[k+1 : m+2+k].
+    AT = np.vstack([W.T, escape, np.eye(m)])
     pivot = np.empty(m)
+    factor = np.empty(m)
+    outer = np.empty((m + 1, m))
     for k in range(m):
-        cols = A[:, k + 1 : m + 2 + k]
-        row = cols[k]
-        pivot[k] = row[: m - 1 - k].sum() + row[m - 1 - k]
-        factor = A[:, k, None] / pivot[k]
+        rows = AT[k + 1 : m + 2 + k]
+        row = rows[:, k]
+        pivot[k] = np.add.reduce(row[: m - 1 - k]) + row[m - 1 - k]
+        np.divide(AT[k], pivot[k], out=factor)
         factor[k] = 0.0
-        cols += factor * row
-    return A[:, m + 1 :] / pivot[:, None]
+        np.multiply(row[:, None], factor, out=outer)
+        rows += outer
+    return np.divide(AT[m + 1 :].T, pivot[:, None], out=np.empty((m, m)))
 
 
 def _direct_censored(spec: WalkSpec, n: int) -> np.ndarray:

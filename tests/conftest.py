@@ -22,6 +22,14 @@ settings.load_profile("suite")
 
 PRESET_NAMES = ("fig2a", "fig2b", "fig2c", "fig2d", "switch_fig7")
 
+# Walks one of whose axes never moves (stay 1), keyed by that stay: every
+# state on the axis is absorbing.
+_STILL = [[0.2, 0.2, 0.0], [0.2, 0.4, 0.0], [0.0, 0.0, 0.0]]
+STILL_AXIS_WALKS = {
+    "h[0]": {"interior": _STILL, "horizontal": [0.0, 1.0, 0.0], "vertical": [0.3, 0.4, 0.3]},
+    "v[0]": {"interior": _STILL, "horizontal": [0.3, 0.4, 0.3], "vertical": [0.0, 1.0, 0.0]},
+}
+
 
 @pytest.fixture(scope="session")
 def fig2a():

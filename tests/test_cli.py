@@ -15,7 +15,7 @@ import pytest
 import qpwalk as q
 from qpwalk.cli import dumps, main
 
-from conftest import random_walk, twelve_dot_set
+from conftest import STILL_AXIS_WALKS, random_walk, twelve_dot_set
 
 
 def run_cli(capsys, *argv):
@@ -484,6 +484,19 @@ def test_non_finite_walk_entry_is_input_error(capsys, tmp_path, fig2d, verb):
     assert code == 2 and out == ""
     issues = json.loads(err)["issues"]
     assert [(i["code"], i["where"]) for i in issues] == [("NonFinite", "p[0][0]")]
+
+
+@pytest.mark.parametrize("stay", sorted(STILL_AXIS_WALKS))
+def test_verify_rejects_an_axis_that_never_moves(capsys, tmp_path, stay):
+    walk = tmp_path / "walk.json"
+    walk.write_text(json.dumps(STILL_AXIS_WALKS[stay]))
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps([{"rho": 0.5, "sigma": 0.5, "alpha": 1.0}]))
+    code, out, err = run_cli(capsys, "verify", str(walk), str(measure))
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert f"Degenerate({stay})" in doc["error"]
+    assert [(i["code"], i["where"]) for i in doc["issues"]] == [("Degenerate", stay)]
 
 
 TERM = {"rho": 0.5, "sigma": 0.5}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import qpwalk as q
 from qpwalk.errors import InvalidRouting, InvalidWalk, SingularWalk
 
-from conftest import PRESET_NAMES, random_walk
+from conftest import PRESET_NAMES, STILL_AXIS_WALKS, random_walk
 
 
 def make_spec(interior, h=None, v=None):
@@ -72,6 +72,12 @@ def test_validate_rejects_all_mass_on_stay():
     w[1, 1] = 1.0
     issues = q.validate(make_spec(w))
     assert any("p[0][0]" in i.message or "stay" in i.message.lower() for i in issues)
+
+
+@pytest.mark.parametrize("stay", sorted(STILL_AXIS_WALKS))
+def test_validate_rejects_an_axis_that_never_moves(stay):
+    issues = q.validate(q.WalkSpec.from_dict(STILL_AXIS_WALKS[stay]))
+    assert [(i.code, i.where) for i in issues] == [("Degenerate", stay)]
 
 
 def test_validation_issue_shape():

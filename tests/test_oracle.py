@@ -17,7 +17,7 @@ from conftest import PRESET_NAMES, product_form_walk, random_walk
 import convexity_reference
 from convexity_reference import convexity_check as reference_convexity
 from keep_all_censored import keep_all_censored, loop_gth
-from gauss_jordan_inverse import gauss_jordan_inverse
+from gauss_jordan_inverse import blocked_inverse
 from loop_level_inverse import loop_level_inverse
 from plain_reduction import plain_reduction
 import power_reference
@@ -132,7 +132,7 @@ def test_direct_solve_reads_no_within_block_diagonal(monkeypatch):
         np.fill_diagonal(W, np.nan)
         return W0, D, W, U
 
-    cases = [(name, spec, n) for name, spec in _bit_identity_walks() for n in (8, 13, 30, 80)]
+    cases = [(name, spec, n) for name, spec in _bit_identity_walks() for n in (8, 13, 30, 80, 160)]
     want = [oracle_mod._direct_censored(spec, n).tobytes() for _, spec, n in cases]
     monkeypatch.setattr(oracle_mod, "_level_blocks", nan_diagonals)
     for (name, spec, n), ref in zip(cases, want):
@@ -279,10 +279,14 @@ LEVEL_INVERSE_AGREEMENT = 5e-14
 
 
 def _assert_inverse_agrees(D, W, U, label):
-    got = oracle_mod._level_inverse(D, W, U)
+    escape = sum(b.sum(axis=1) for b in (D, U) if b is not None)
+    inputs = W.tobytes(), escape.tobytes()
+    got = oracle_mod._escape_inverse(W, escape)
+    assert (W.tobytes(), escape.tobytes()) == inputs, label
+    # Byte for byte at every size: above a leaf, a block returned in another
+    # memory order sends the Schur products down another BLAS path.
+    assert got.tobytes() == blocked_inverse(W, escape).tobytes(), label
     want = loop_level_inverse(D, W, U)
-    if W.shape[0] <= oracle_mod._LEAF:  # a leaf is one Gauss-Jordan sweep
-        assert got.tobytes() == gauss_jordan_inverse(D, W, U).tobytes(), label
     assert got.min() >= 0.0 and ((got == 0.0) == (want == 0.0)).all(), label
     big = want > 0.0
     error = np.abs(got[big] - want[big]) / want[big]
@@ -297,7 +301,7 @@ def _substochastic(D, W, U):
 def test_level_inverse_matches_loop_on_random_blocks():
     leaf = oracle_mod._LEAF
     rng = np.random.default_rng(75)
-    for m in (1, 2, leaf - 1, leaf, leaf + 1, 2 * leaf + 1, 161, 321):
+    for m in (1, 2, leaf - 1, leaf, leaf + 1, 2 * leaf + 1, 161, 321, 2 * leaf):
         # Entries over 30 orders of magnitude, as in censored blocks; about
         # half the rows have no escape of their own.
         D, W, U = (10.0 ** rng.uniform(-30, 0, (m, m)) for _ in range(3))
@@ -396,6 +400,14 @@ def test_core_renormalizes():
     core = w.core(6)
     assert core.shape == (7, 7)
     assert core.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_core_rejects_a_size_outside_the_truncation():
+    w = oracle_mod.LatticeWindow(10, np.full((11, 11), 1.0 / 121.0))
+    assert w.core(0).shape == (1, 1) and w.core(10).shape == (11, 11)
+    for size in (-2, -1, 11, 20):
+        with pytest.raises(ValueError, match="outside the truncation 0..10"):
+            w.core(size)
 
 
 def test_symmetric_walk_symmetric_distribution():
