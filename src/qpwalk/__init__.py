@@ -74,7 +74,6 @@ from .terms import (
     bv_sum,
     maximal_partitions,
     necessary_conditions,
-    separating_exponent,
 )
 from . import errors, presets
 

@@ -168,7 +168,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_construct(args) -> int:
     spec = _load_walk(args.walk)
-    seeds, series, failures, assembled = construct(spec, args.tol, args.max_terms, args.window)
+    seeds, series, failures, assembled = construct(spec, args.tol, args.max_terms)
     if not seeds:
         return _fail(1, "no boundary seeds found on the positive curve component")
     if assembled is None:
@@ -197,7 +197,7 @@ def _cmd_verify(args) -> int:
         )
     spec = _load_walk(args.walk)
     gamma = _load_gamma(args.measure)
-    report = balance_residuals(spec, gamma, window=args.window)
+    report = balance_residuals(spec, gamma)
     if args.oracle_n:
         oracle = truncated_stationary(spec, args.oracle_n)
         core = min(8, args.oracle_n - 10)
@@ -259,7 +259,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("walk")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-terms", type=int, default=200)
-    p.add_argument("--window", type=int, default=12)
     out(p)
     p.set_defaults(func=_cmd_construct)
 
@@ -267,7 +266,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("walk")
     p.add_argument("measure", help="GammaSet JSON ({'terms': [...]} or a bare list)")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--window", type=int, default=12)
     p.add_argument("--oracle-n", type=int, default=80,
                    help="truncation size for the oracle comparison; 0 disables")
     out(p)

@@ -288,7 +288,6 @@ class AssembledMeasure:
     weights: tuple[float, ...]
     condition: float
     report: object  # VerificationReport over the assembly window
-    window: int
 
     def to_dict(self) -> dict:
         return {
@@ -296,7 +295,7 @@ class AssembledMeasure:
             "weights": list(self.weights),
             "condition": self.condition,
             "residual_summary": self.report.to_dict(),
-            "window": self.window,
+            "window": self.report.window,
         }
 
 
@@ -387,11 +386,10 @@ def assemble_measure(
         weights=tuple(weights),
         condition=condition,
         report=report,
-        window=window,
     )
 
 
-def construct(spec: WalkSpec, tol: float = 1e-12, max_terms: int = 200, window: int = 12):
+def construct(spec: WalkSpec, tol: float = 1e-12, max_terms: int = 200):
     """A walk's candidate measure: a series from every curve/boundary seed,
     superposed, and the series rebuilt until their tails fit ``tol``.
 
@@ -418,7 +416,7 @@ def construct(spec: WalkSpec, tol: float = 1e-12, max_terms: int = 200, window: 
     if not series:
         return seeds, series, failures, None
     series_tol, stalled = tol, False
-    assembled = assemble_measure(series, spec, window=window)
+    assembled = assemble_measure(series, spec)
     for _ in range(TIGHTEN_ROUNDS):
         m = assembled.gamma.value
         budget = tol * min(m(0, 0), m(1, 0), m(0, 1))
@@ -431,5 +429,5 @@ def construct(spec: WalkSpec, tol: float = 1e-12, max_terms: int = 200, window: 
                 series[k] = build_series(spec, s.start, tol=series_tol, max_terms=max_terms)
             except QpwalkError:
                 stalled = True
-        assembled = assemble_measure(series, spec, window=window)
+        assembled = assemble_measure(series, spec)
     return seeds, series, failures, assembled

@@ -249,11 +249,25 @@ def truncated_stationary(spec: WalkSpec, n: int) -> LatticeWindow:
     on its level blocks (_direct_censored): subtraction-free, so
     componentwise accurate and non-negative, numpy only, O(n^2 log n)
     memory.
+
+    Raises
+    ------
+    ValueError
+        If n is below 8, or if the truncation traps mass: with the moves
+        out of the box dropped, some states never reach the origin, a
+        pivot of the solve vanishes and the grid is not finite.
     """
     ensure_valid(spec)
     if n < 8:
         raise ValueError(f"truncation size n = {n} is too small, need n >= 8")
-    grid = _direct_censored(spec, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grid = _direct_censored(spec, n)
+    if not np.isfinite(grid).all():
+        raise ValueError(
+            f"truncation size n = {n} traps mass: with the moves out of "
+            f"{{0..{n}}} squared dropped, some states never reach the origin, "
+            "so the truncated chain has no stationary grid"
+        )
     grid.flags.writeable = False
     return LatticeWindow(n, grid)
 
@@ -447,7 +461,14 @@ def convexity_check(
     ``-(mx, my)`` there, so ``phi >= 1 - mx u - my w >= 1`` when
     ``u, w <= 0``.  Such a walk gets the report of a search that found no
     pair, without drawing.
+
+    Raises
+    ------
+    ValueError
+        If samples is below 1: a check of no pair has no verdict.
     """
+    if samples < 1:
+        raise ValueError(f"samples = {samples} is too small, need samples >= 1")
     ker = kernel(spec)
     report = branch_points(spec)
     d = drift(spec)

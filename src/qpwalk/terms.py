@@ -289,40 +289,6 @@ def bv_sum(g: GammaSet, group: Sequence[int], spec: WalkSpec) -> float:
     return _bh_terms(terms, spec.transpose())
 
 
-def separating_exponent(
-    g: GammaSet, i: int, bound: int = 64
-) -> Optional[tuple[int, int]]:
-    """Lexicographically smallest ``(w, v)`` with ``rho_i^w sigma_i^v``
-    strictly largest among all terms, or None within the bound.
-
-    A singleton set needs no separation, so (1, 1) works trivially.
-    Products are compared in logs with a relative guard so ties are never
-    resolved by rounding luck.
-
-    Raises
-    ------
-    IndexError
-        If i is not in ``range(len(g))``; a negative i would otherwise
-        count the term among its own rivals.
-    """
-    terms = g.terms
-    if i not in range(len(terms)):
-        raise IndexError(f"term index {i} is outside 0..{len(terms) - 1}")
-    target = terms[i]
-    others = [t for k, t in enumerate(terms) if k != i]
-    if not others:
-        return (1, 1)
-    lt = (np.log(target.rho), np.log(target.sigma))
-    lo = [(np.log(t.rho), np.log(t.sigma)) for t in others]
-    for w in range(1, bound + 1):
-        for v in range(1, bound + 1):
-            mine = w * lt[0] + v * lt[1]
-            cut = max(abs(mine), 1.0) * COUPLE_TOL
-            if all(mine > w * a + v * b + cut for a, b in lo):
-                return (w, v)
-    return None
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Outcome of the structural tests for an infinite-geometric measure:
@@ -341,9 +307,7 @@ class ConditionReport:
         return {"verdicts": self.verdicts, "passed": self.passed, **self.witnesses}
 
 
-def necessary_conditions(
-    spec: WalkSpec, g: GammaSet, claims_infinite: bool = True
-) -> ConditionReport:
+def necessary_conditions(spec: WalkSpec, g: GammaSet) -> ConditionReport:
     """Test the conditions a countably infinite sum of geometric terms
     must satisfy to be an invariant measure.
 
@@ -364,9 +328,7 @@ def necessary_conditions(
 
     One pass over the terms reads each term's residual, its membership of
     the square and its V and H companions, the other root of the kernel
-    quadratic in y on the walk and on its transposed twin.  With
-    ``claims_infinite`` false only the first two verdicts apply and no
-    companion is sought; the others report None.
+    quadratic in y on the walk and on its transposed twin.
     """
     ker, twin_ker = kernel(spec), kernel(spec.transpose())
     residuals, in_u, blocked, envelopes = [], [], [], []
@@ -374,25 +336,19 @@ def necessary_conditions(
         residuals.append(float(abs(ker.value(t.rho, t.sigma)) / ker.scale))
         in_u.append(0.0 < t.rho < 1.0 - U_MARGIN and 0.0 < t.sigma < 1.0 - U_MARGIN)
         envelopes.append(max(t.rho, t.sigma))
-        if claims_infinite:
-            h = _companion(twin_ker, t.sigma, t.rho)[0]
-            v = _companion(ker, t.rho, t.sigma)[0]
-            if h != "ok" and v != "ok":
-                blocked.append({"index": index, "h": h, "v": v})
-    verdicts = {
-        "on_curve": all(r <= ONCURVE_TOL for r in residuals),
-        "in_u": all(in_u),
-        "extendable": None,
-        "trend": None,
+        h = _companion(twin_ker, t.sigma, t.rho)[0]
+        v = _companion(ker, t.rho, t.sigma)[0]
+        if h != "ok" and v != "ok":
+            blocked.append({"index": index, "h": h, "v": v})
+    verdicts = {"on_curve": all(r <= ONCURVE_TOL for r in residuals), "in_u": all(in_u)}
+    judged = verdicts["on_curve"] and verdicts["in_u"]
+    verdicts["extendable"] = not blocked if judged else None
+    verdicts["trend"] = min(envelopes) <= 0.5 * max(envelopes) or len(envelopes) == 1
+    witnesses = {
+        "residuals": residuals,
+        "in_u_flags": in_u,
+        "blocked": blocked if judged else None,
+        "envelope_min": min(envelopes),
+        "envelope_max": max(envelopes),
     }
-    witnesses: dict = {"residuals": residuals, "in_u_flags": in_u}
-    if claims_infinite:
-        if verdicts["on_curve"] and verdicts["in_u"]:
-            verdicts["extendable"] = not blocked
-            witnesses["blocked"] = blocked
-        else:
-            witnesses["blocked"] = None
-        verdicts["trend"] = min(envelopes) <= 0.5 * max(envelopes) or len(envelopes) == 1
-        witnesses["envelope_min"] = min(envelopes)
-        witnesses["envelope_max"] = max(envelopes)
     return ConditionReport(verdicts, witnesses)

@@ -30,6 +30,28 @@ STILL_AXIS_WALKS = {
     "v[0]": {"interior": _STILL, "horizontal": [0.3, 0.4, 0.3], "vertical": [0.0, 1.0, 0.0]},
 }
 
+# Walks whose truncation to a box traps mass, keyed by name: dropping the
+# moves that leave the box leaves states that never reach the origin.  The
+# first is eligible, steps only NW and SE in the interior, and construct
+# builds a balanced positive measure for it; the second is valid but not
+# eligible, drifting up and right.
+TRAPPING_WALKS = {
+    "anti-diagonal": {"interior": [[0, 0, 0.2], [0, 0.5, 0], [0.3, 0, 0]],
+                      "horizontal": [0.3, 0.3, 0.2], "vertical": [0.3, 0.3, 0.1]},
+    "up-right": {"interior": [[0, 0, 0.2], [0, 0.2, 0.2], [0.2, 0.2, 0]],
+                 "horizontal": [0.2, 0.2, 0.2], "vertical": [0.2, 0.2, 0.2]},
+}
+
+# Valid, eligible, nonsingular walks whose origin crossing fails the
+# negative-Hessian test, keyed by their Hessian determinant: the exact
+# anti-diagonal walk, and the same with 1e-13 moved from the stay to SW.
+NODELESS_WALKS = {
+    "det-0": {"interior": [[0, 0, 0.25], [0, 0.5, 0], [0.25, 0, 0]],
+              "horizontal": [0.25, 0.25, 0.25], "vertical": [0.25, 0.25, 0.25]},
+    "det-1e-13": {"interior": [[1e-13, 0, 0.25], [0, 0.4999999999999, 0], [0.25, 0, 0]],
+                  "horizontal": [0.25, 0.25, 0.25], "vertical": [0.25, 0.25, 0.25]},
+}
+
 
 @pytest.fixture(scope="session")
 def fig2a():

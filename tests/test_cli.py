@@ -15,7 +15,8 @@ import pytest
 import qpwalk as q
 from qpwalk.cli import dumps, main
 
-from conftest import STILL_AXIS_WALKS, random_walk, twelve_dot_set
+from conftest import (NODELESS_WALKS, STILL_AXIS_WALKS, TRAPPING_WALKS, random_walk,
+                      twelve_dot_set)
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +102,21 @@ def test_analyze_tiny_east_step_has_no_singularity(capsys, tmp_path, switch):
     doc = json.loads(out)
     assert doc["eligible"] is False
     assert doc["singularity"] is None
+
+
+@pytest.mark.parametrize(
+    "name, named",
+    # The exact anti-diagonal walk fails in branch_points, before the
+    # crossing is tested.
+    [("det-0", "ComplexRoots"), ("det-1e-13", "Hessian det -9.992007221626409e-14")],
+    ids=["det-0", "det-1e-13"],
+)
+def test_analyze_fails_on_a_crossing_that_is_not_a_node(capsys, tmp_path, name, named):
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps(NODELESS_WALKS[name]))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1 and out == ""
+    assert named in json.loads(err)["error"]
 
 
 def test_analyze_output_file(tmp_path, capsys):
@@ -386,6 +402,20 @@ def test_verify_accepts_oracle_n_11(capsys, tmp_path):
     assert json.loads(vout)["report"]["sup_rel_error"] >= 0.0
 
 
+def test_verify_rejects_a_truncation_that_traps_mass(capsys, tmp_path):
+    walk = tmp_path / "walk.json"
+    walk.write_text(json.dumps(TRAPPING_WALKS["anti-diagonal"]))
+    measure = tmp_path / "measure.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning from the solve
+        assert run_cli(capsys, "construct", str(walk), "-o", str(measure))[0] == 0
+        code, out, err = run_cli(capsys, "verify", str(walk), str(measure))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("ValueError: truncation size n = 80 traps mass")
+    code, out, _ = run_cli(capsys, "verify", str(walk), str(measure), "--oracle-n", "0")
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
 def test_verify_accepts_bare_term_list(capsys, tmp_path):
     rng = np.random.default_rng(80)
     from conftest import product_form_walk
@@ -572,18 +602,10 @@ def test_singular_walk_trace_is_input_error(capsys, tmp_path):
         (["trace", "switch_fig7", "--points", "1"], "n_points = 1"),
         (["trace", "switch_fig7", "--points", "0"], "n_points = 0"),
         (["trace", "switch_fig7", "--points", "-3"], "n_points = -3"),
-        (["construct", "switch_fig7", "--window", "0"], "window 0"),
-        (["construct", "switch_fig7", "--window", "-1"], "window -1"),
-        (["verify", "switch_fig7", "MEASURE", "--window", "0"], "window 0"),
-        (["verify", "switch_fig7", "MEASURE", "--window", "-1"], "window -1"),
     ],
-    ids=["points-1", "points-0", "points-neg3", "construct-window-0",
-         "construct-window-neg1", "verify-window-0", "verify-window-neg1"],
+    ids=["points-1", "points-0", "points-neg3"],
 )
-def test_count_below_minimum_is_input_error(capsys, tmp_path, argv, named):
-    measure = tmp_path / "measure.json"
-    measure.write_text(json.dumps([{"rho": 0.5, "sigma": 0.5, "alpha": 1.0}]))
-    argv = [str(measure) if a == "MEASURE" else a for a in argv]
+def test_count_below_minimum_is_input_error(capsys, argv, named):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning on the way
         code, _, err = run_cli(capsys, *argv)

@@ -19,7 +19,7 @@ from qpwalk.curve import (
 )
 from qpwalk.errors import ComplexRoots, EmptyComponent
 
-from conftest import PRESET_NAMES, random_walk, product_form_walk
+from conftest import NODELESS_WALKS, PRESET_NAMES, random_walk, product_form_walk
 from loop_trace import loop_trace
 
 
@@ -377,6 +377,15 @@ def test_tiny_north_step_has_no_singularity():
     tweaked = q.WalkSpec(w, spec.horizontal, spec.vertical)
     assert q.validate(tweaked) == []
     assert q.detect_singularity(tweaked) is None
+
+
+@pytest.mark.parametrize("name", sorted(NODELESS_WALKS))
+def test_crossing_that_is_not_a_node_raises(name):
+    spec = q.WalkSpec.from_dict(NODELESS_WALKS[name])
+    assert q.validate(spec) == [] and q.eligible(spec)
+    assert not q.singular_class(spec).singular
+    with pytest.raises(q.InconsistentSingularity, match="Hessian det"):
+        q.detect_singularity(spec)
 
 
 def test_forced_class_always_crosses_at_origin():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from qpwalk.cli import dumps
 from qpwalk.model import OFFSETS
 from qpwalk.oracle import transition_matrix
 
-from conftest import PRESET_NAMES, product_form_walk, random_walk
+from conftest import PRESET_NAMES, TRAPPING_WALKS, product_form_walk, random_walk
 import convexity_reference
 from convexity_reference import convexity_check as reference_convexity
 from keep_all_censored import keep_all_censored, loop_gth
@@ -378,6 +379,20 @@ def test_truncated_stationary_solves_where_power_stalls(n):
     assert _one_step_residual(spec, n, grid) <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "name, n", [("anti-diagonal", 8), ("anti-diagonal", 20), ("anti-diagonal", 80), ("up-right", 20)]
+)
+def test_truncation_that_traps_mass_raises(name, n):
+    # The solve divides by a zero pivot on each of these, and its grid is
+    # not finite: that must raise, without a numpy warning.
+    spec = q.WalkSpec.from_dict(TRAPPING_WALKS[name])
+    assert q.validate(spec) == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"truncation size n = {n} traps mass"):
+            q.truncated_stationary(spec, n)
+
+
 def test_power_iteration_cap_raises(monkeypatch):
     rng = np.random.default_rng(66)
     spec = random_walk(rng, neg_drift=True)
@@ -485,6 +500,21 @@ def test_truncated_grid_satisfies_balance():
     assert rep.worst <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "call, window",
+    [("balance", 0), ("balance", -1), ("assemble", 0), ("assemble", -1)],
+    ids=["balance-window-0", "balance-window-neg1", "assemble-window-0", "assemble-window-neg1"],
+)
+def test_window_below_one_is_value_error(switch, switch_series, switch_measure, call, window):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        with pytest.raises(ValueError, match=f"window {window} is too small"):
+            if call == "balance":
+                q.balance_residuals(switch, switch_measure.gamma, window=window)
+            else:
+                q.assemble_measure(switch_series, switch, window=window)
+
+
 # --- comparison against the oracle ---
 
 
@@ -528,6 +558,12 @@ def test_convexity_on_presets(name):
     assert rep.passed
     assert rep.checked == rep.requested == 2000
     assert rep.violations == ()
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_convexity_rejects_samples_below_one(switch, samples):
+    with pytest.raises(ValueError, match=f"samples = {samples} is too small"):
+        q.convexity_check(switch, samples=samples)
 
 
 def test_convexity_deterministic(fig2c):

@@ -218,52 +218,6 @@ def test_product_form_term_balances_alone():
     assert abs(q.bv_sum(g, (0,), spec)) <= 1e-14
 
 
-# --- separating exponents ---
-
-
-def test_separating_exponent_examples():
-    g = terms_of((0.6, 0.3, 1.0), (0.3, 0.6, 1.0), (0.5, 0.5, 1.0))
-    assert q.separating_exponent(g, 0) == (3, 1)
-    assert q.separating_exponent(g, 1) == (1, 3)
-    assert q.separating_exponent(g, 2) == (1, 1)
-
-
-def test_separating_exponent_singleton():
-    g = terms_of((0.5, 0.5, 1.0))
-    assert q.separating_exponent(g, 0) == (1, 1)
-
-
-def test_separating_exponent_dominated_term_is_none():
-    g = terms_of((0.5, 0.5, 1.0), (0.6, 0.5, 1.0))
-    assert q.separating_exponent(g, 0) is None
-    assert q.separating_exponent(g, 1) == (1, 1)
-
-
-def test_separating_exponent_rejects_an_index_outside_the_set():
-    # A negative index would count the term among its own rivals: index -2
-    # names the same term as index 0, whose answer is (1, 1).
-    g = terms_of((0.5, 0.4, 1.0), (0.3, 0.2, -0.5))
-    assert q.separating_exponent(g, 0) == (1, 1)
-    for i in (-2, -1, 2):
-        with pytest.raises(IndexError, match=f"term index {i} is outside 0..1"):
-            q.separating_exponent(g, i)
-
-
-def test_separating_exponent_actually_separates():
-    rng = np.random.default_rng(42)
-    for _ in range(50):
-        g = random_gamma(rng)
-        for i in range(len(g)):
-            wv = q.separating_exponent(g, i)
-            if wv is None:
-                continue
-            w, v = wv
-            terms = list(g)
-            mine = terms[i].rho ** w * terms[i].sigma ** v
-            rest = [t.rho**w * t.sigma**v for j, t in enumerate(terms) if j != i]
-            assert all(mine > r for r in rest)
-
-
 # --- curve membership and the condition report ---
 
 
@@ -288,7 +242,7 @@ def test_check_on_curve_flags_off_curve(switch):
 
 
 def test_necessary_conditions_on_assembled_switch(switch, switch_measure):
-    rep = q.necessary_conditions(switch, switch_measure.gamma, claims_infinite=True)
+    rep = q.necessary_conditions(switch, switch_measure.gamma)
     assert rep.verdicts == {
         "on_curve": True,
         "in_u": True,
@@ -299,16 +253,9 @@ def test_necessary_conditions_on_assembled_switch(switch, switch_measure):
     assert rep.witnesses["blocked"] == []
 
 
-def test_necessary_conditions_finite_claim_skips_infinite_tests(switch, switch_measure):
-    rep = q.necessary_conditions(switch, switch_measure.gamma, claims_infinite=False)
-    assert rep.verdicts["extendable"] is None
-    assert rep.verdicts["trend"] is None
-    assert rep.verdicts["on_curve"] is True
-
-
 def test_necessary_conditions_rejects_off_curve_set(switch):
     g = terms_of((0.5, 0.5, 1.0), (0.25, 0.75, 1.0))
-    rep = q.necessary_conditions(switch, g, claims_infinite=True)
+    rep = q.necessary_conditions(switch, g)
     assert rep.verdicts["on_curve"] is False
     assert rep.passed is False
 
